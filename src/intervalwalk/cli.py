@@ -208,6 +208,8 @@ def _run_experiment(args, runner, base: ExperimentConfig) -> int:
         config = _experiment_config(args, base)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
+    if args.threads < 1:
+        return _fail(f"--threads must be at least 1, got {args.threads}", 2)
     csv_path, summary_path = runner(config, args.out, threads=args.threads)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
@@ -246,7 +248,7 @@ def _add_experiment_args(sub: argparse.ArgumentParser) -> None:
         help="sweep order for the local optimizer",
     )
     sub.add_argument("--out", default="results", help="output directory")
-    sub.add_argument("--threads", type=int, default=1, help="worker processes")
+    sub.add_argument("--threads", type=int, default=1, help="worker processes, at most the CPU count")
 
 
 def build_parser() -> argparse.ArgumentParser:

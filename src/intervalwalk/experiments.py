@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,7 @@ from .optimize import (
     local_optimize,
     multistart,
     random_extremal_schedule,
+    selection_sort_key,
 )
 from .rng import derive_seed, substream
 
@@ -152,6 +154,7 @@ def _write_summary(path: Path, payload: dict) -> None:
 
 
 def _map_tasks(func, tasks, threads: int):
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         return [func(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -256,7 +259,11 @@ def _sweep_task(args):
                 entry[1 + column] += 1
         reverse = sense is Sense.MAX
         ordered = sorted(
-            census.items(), key=lambda item: (-item[1][0] if reverse else item[1][0], item[0])
+            census.items(),
+            key=lambda item: (
+                -item[1][0] if reverse else item[1][0],
+                selection_sort_key(item[0]),
+            ),
         )
         fraction = disagreements / config.starts
         for _, (value, hits_lr, hits_rl) in ordered:

@@ -113,6 +113,14 @@ class IntervalBounds:
         return iu[keep], ju[keep]
 
     @cached_property
+    def _scatter_idx(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat s*s positions of the free edges (i, j), their mirrors (j, i),
+        and the diagonal, for scattering endpoint choices into weight matrices."""
+        i, j = self._free_idx
+        s = self.size
+        return i * s + j, j * s + i, np.arange(s) * (s + 1)
+
+    @cached_property
     def free_edges(self) -> tuple[tuple[int, int], ...]:
         """Edges with lower < upper, i.e. where an endpoint choice exists.
 
@@ -145,6 +153,10 @@ class EdgeChoice(enum.IntEnum):
     UPPER = 1
 
 
+#: EdgeChoice by mask bit, so that _CHOICES[False] is LOWER.
+_CHOICES = (EdgeChoice.LOWER, EdgeChoice.UPPER)
+
+
 @dataclass(frozen=True)
 class EdgeSelection:
     """Endpoint choice per free edge: the canonical identity of an extremal weight.
@@ -173,17 +185,14 @@ class EdgeSelection:
 
     def upper_mask(self) -> np.ndarray:
         """Boolean vector over the edges, True where the upper endpoint is chosen."""
-        return np.array([c == EdgeChoice.UPPER for c in self.choices], dtype=bool)
+        return np.array(self.choices, dtype=bool)
 
     @classmethod
     def from_upper_mask(cls, bounds: IntervalBounds, mask) -> "EdgeSelection":
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (len(bounds.free_edges),):
             raise ValueError("mask length does not match the free edges")
-        return cls(
-            bounds.free_edges,
-            tuple(EdgeChoice.UPPER if b else EdgeChoice.LOWER for b in mask),
-        )
+        return cls(bounds.free_edges, tuple(_CHOICES[b] for b in mask.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,22 +397,46 @@ def validate(bounds: IntervalBounds) -> ValidationReport:
     return ValidationReport(tuple(violations), tuple(warnings))
 
 
-def weight_matrix_from_mask(bounds: IntervalBounds, upper_mask) -> np.ndarray:
-    """Full weight matrix (loops included) for an endpoint mask over the free edges.
+def _extremal_masks(e: int) -> np.ndarray:
+    """Every endpoint mask over e free edges, as a (2^e, e) boolean table.
 
-    Degenerate edges keep their single admissible value; free edges take the
-    upper endpoint where the mask is True, the lower endpoint elsewhere.
+    Row k is the binary expansion of k with the first edge most significant,
+    so the rows run in lexicographic selection order (LOWER before UPPER).
+    Enumeration, exhaustive multistart and the oracle's schedule indices all
+    use this order.
     """
-    mask = np.asarray(upper_mask, dtype=bool)
-    i, j = bounds._free_idx
-    if mask.shape != i.shape:
-        raise ValueError("mask length does not match the free edges")
-    m = bounds.lower.copy()
-    chosen = np.where(mask, bounds.free_upper, bounds.free_lower)
-    m[i, j] = chosen
-    m[j, i] = chosen
-    np.fill_diagonal(m, bounds.marginal - m.sum(axis=1))
+    shifts = np.arange(e - 1, -1, -1)
+    return ((np.arange(1 << e)[:, None] >> shifts) & 1).astype(bool)
+
+
+def _weights_from_masks(bounds: IntervalBounds, masks: np.ndarray) -> np.ndarray:
+    """Weight matrices, loops included, for a (..., e) boolean stack of endpoint masks.
+
+    Returns a (..., s, s) stack.  Degenerate edges keep their single
+    admissible value; free edges take the upper endpoint where the mask is
+    True, the lower endpoint elsewhere; loops take the residual mass.
+    """
+    ij, ji, diag = bounds._scatter_idx
+    s = bounds.size
+    flat = np.empty(masks.shape[:-1] + (s * s,))
+    flat[...] = bounds.lower.ravel()
+    # scatter along the first axis of the transposed view: plain fancy
+    # indexing there is several times cheaper than flat[..., ij]
+    chosen = np.where(masks, bounds.free_upper, bounds.free_lower).T
+    flat.T[ij] = chosen
+    flat.T[ji] = chosen
+    m = flat.reshape(masks.shape[:-1] + (s, s))
+    flat.T[diag] = (bounds.marginal - m.sum(axis=-1)).T
     return m
+
+
+def weight_matrix_from_mask(bounds: IntervalBounds, upper_mask) -> np.ndarray:
+    """Full weight matrix (loops included) for one endpoint mask over the free
+    edges: the upper endpoint where the mask is True, the lower one elsewhere."""
+    mask = np.asarray(upper_mask, dtype=bool)
+    if mask.shape != (len(bounds.free_edges),):
+        raise ValueError("mask length does not match the free edges")
+    return _weights_from_masks(bounds, mask)
 
 
 def weight_from_selection(bounds: IntervalBounds, selection: EdgeSelection) -> WeightFunction:

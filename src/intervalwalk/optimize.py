@@ -24,10 +24,12 @@ from .graph import (
     EdgeSelection,
     IntervalBounds,
     WeightFunction,
+    _extremal_masks,
+    _gradient_upper_mask,
+    _weights_from_masks,
     one_step_minimizer,
     selection_of,
     weight_from_selection,
-    weight_matrix_from_mask,
 )
 from .oracle import BudgetExceededError
 
@@ -142,28 +144,31 @@ def _descend(bounds, q, f, mats, masks, order, tol):
 
     Minimizes <q, P_1 ... P_n f>; callers handle MAX by negating f.  `mats`
     (transition matrices) and `masks` (endpoint masks, None while a step is
-    interior) are mutated in place.  Prefix mass / suffix payoff vectors are
-    cached per sweep; the sweep direction guarantees the cached side is never
-    stale when read.
+    interior) are mutated in place.  Step k reads the prefix mass before it
+    and the suffix payoff after it.  The side the sweep walks away from is
+    rebuilt at the start of each sweep; the side it walks toward is extended
+    after each step, so neither is stale when read.
     """
     n = len(mats)
     marg = bounds.marginal
     marg_col = marg[:, None]
-    i_e, j_e = bounds._free_idx
-    lo_e = bounds.free_lower
-    up_e = bounds.free_upper
-    lower_base = bounds.lower
+    prefix = [q] * (n + 1)
+    suffix = [f] * (n + 1)
+
+    def push(k):
+        prefix[k + 1] = prefix[k] @ mats[k]
+
+    def pull(k):
+        suffix[k] = mats[k] @ suffix[k + 1]
+
+    if order is SweepOrder.LEFT_TO_RIGHT:
+        steps, rebuild, advance = range(n), pull, push
+    else:
+        steps, rebuild, advance = range(n - 1, -1, -1), push, pull
 
     def candidate(ql, fr):
-        h = ql / marg
-        g = (h[i_e] - h[j_e]) * (fr[j_e] - fr[i_e])
-        mask = g <= 0.0
-        m = lower_base.copy()
-        chosen = np.where(mask, up_e, lo_e)
-        m[i_e, j_e] = chosen
-        m[j_e, i_e] = chosen
-        np.fill_diagonal(m, marg - m.sum(axis=1))
-        return mask, m / marg_col
+        mask = _gradient_upper_mask(bounds, ql / marg, fr)
+        return mask, _weights_from_masks(bounds, mask) / marg_col
 
     def fold_value():
         g = f
@@ -179,49 +184,25 @@ def _descend(bounds, q, f, mats, masks, order, tol):
     while True:
         sweeps += 1
         changed = False
-        if order is SweepOrder.LEFT_TO_RIGHT:
-            suffix = [f] * (n + 1)
-            for k in range(n - 1, -1, -1):
-                suffix[k] = mats[k] @ suffix[k + 1]
-            ql = q
-            for k in range(n):
-                fr = suffix[k + 1]
-                mask, mat = candidate(ql, fr)
-                v_new = float(ql @ (mat @ fr))
-                threshold = tol * max(1.0, abs(value))
-                if v_new < value - threshold:
-                    mats[k], masks[k] = mat, mask
-                    value = v_new
-                    trace.append(value)
-                    improvements += 1
-                    changed = True
-                elif masks[k] is None and v_new <= value + threshold:
-                    # pin an interior step to its equal-value extremal form
-                    mats[k], masks[k] = mat, mask
-                    value = v_new
-                    changed = True
-                ql = ql @ mats[k]
-        else:
-            prefix = [q] * (n + 1)
-            for k in range(n):
-                prefix[k + 1] = prefix[k] @ mats[k]
-            fr = f
-            for k in range(n - 1, -1, -1):
-                ql = prefix[k]
-                mask, mat = candidate(ql, fr)
-                v_new = float(ql @ (mat @ fr))
-                threshold = tol * max(1.0, abs(value))
-                if v_new < value - threshold:
-                    mats[k], masks[k] = mat, mask
-                    value = v_new
-                    trace.append(value)
-                    improvements += 1
-                    changed = True
-                elif masks[k] is None and v_new <= value + threshold:
-                    mats[k], masks[k] = mat, mask
-                    value = v_new
-                    changed = True
-                fr = mats[k] @ fr
+        for k in reversed(steps):
+            rebuild(k)
+        for k in steps:
+            ql, fr = prefix[k], suffix[k + 1]
+            mask, mat = candidate(ql, fr)
+            v_new = float(ql @ (mat @ fr))
+            threshold = tol * max(1.0, abs(value))
+            if v_new < value - threshold:
+                mats[k], masks[k] = mat, mask
+                value = v_new
+                trace.append(value)
+                improvements += 1
+                changed = True
+            elif masks[k] is None and v_new <= value + threshold:
+                # pin an interior step to its equal-value extremal form
+                mats[k], masks[k] = mat, mask
+                value = v_new
+                changed = True
+            advance(k)
         if not changed:
             break
 
@@ -271,13 +252,12 @@ def local_optimize(
 
 
 def _optimize_from_masks(problem, start_masks, order, tol) -> LocalOptimum:
-    """Descent starting from per-step endpoint masks (fast path, no
-    WeightFunction materialization)."""
+    """Descent starting from an (n, e) boolean array of per-step endpoint
+    masks (fast path, no WeightFunction materialization)."""
     bounds = problem.bounds
     f_eff = problem.f if problem.sense is Sense.MIN else -problem.f
-    marg_col = bounds.marginal[:, None]
-    mats = [weight_matrix_from_mask(bounds, m) / marg_col for m in start_masks]
-    masks = [np.array(m, dtype=bool) for m in start_masks]
+    mats = list(_weights_from_masks(bounds, start_masks) / bounds.marginal[:, None])
+    masks = list(start_masks)
     value, trace, sweeps, improvements = _descend(
         bounds, problem.q, f_eff, mats, masks, order, tol
     )
@@ -291,13 +271,12 @@ def _random_upper_masks(bounds: IntervalBounds, n: int, rng: np.random.Generator
     the edge gradient they induce, which covers exactly the selections a
     one-step optimization could ever produce.
     """
-    i, j = bounds._free_idx
-    masks = np.empty((n, len(i)), dtype=bool)
+    masks = np.empty((n, len(bounds.free_edges)), dtype=bool)
     s = bounds.size
     for t in range(n):
         h = rng.permutation(s).astype(float)
         f = rng.permutation(s).astype(float)
-        masks[t] = (h[i] - h[j]) * (f[j] - f[i]) <= 0.0
+        masks[t] = _gradient_upper_mask(bounds, h, f)
     return masks
 
 
@@ -371,7 +350,9 @@ def multistart_exhaustive(
     tol: float = TOL,
     budget: int = 2**16,
 ) -> MultistartReport:
-    """Local descent from every extremal schedule.
+    """Local descent from every extremal schedule, in lexicographic order
+    (the selection order of ``graph._extremal_masks``, first step most
+    significant).
 
     Because each global optimum is itself a start and descent never worsens a
     start, the best fixed point equals the exact global optimum; useful as a
@@ -384,8 +365,8 @@ def multistart_exhaustive(
             f"exhaustive multistart over {e} free edges and {problem.n} steps needs "
             f"{total} starts, over the budget of {budget}"
         )
-    per_step = [np.array(bits, dtype=bool) for bits in itertools.product((False, True), repeat=e)]
+    table = _extremal_masks(e)
     runs = []
-    for combo in itertools.product(per_step, repeat=problem.n):
-        runs.append(_optimize_from_masks(problem, list(combo), order, tol))
+    for combo in itertools.product(range(len(table)), repeat=problem.n):
+        runs.append(_optimize_from_masks(problem, table[list(combo)], order, tol))
     return _aggregate(runs, total, None, problem.sense)

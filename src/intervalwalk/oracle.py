@@ -9,12 +9,18 @@ work exceeds its budget.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import EdgeChoice, EdgeSelection, IntervalBounds, WeightFunction, weight_from_selection
+from .graph import (
+    EdgeSelection,
+    IntervalBounds,
+    WeightFunction,
+    _extremal_masks,
+    _weights_from_masks,
+    weight_from_selection,
+)
 
 #: Absolute tolerance for collecting all schedules tied with an optimum.
 ARGOPT_ATOL = 1e-12
@@ -35,36 +41,18 @@ class ExactBounds(NamedTuple):
 def enumerate_extremal(
     bounds: IntervalBounds, cap: int = 20
 ) -> list[tuple[EdgeSelection, WeightFunction]]:
-    """All 2^e extremal weight functions, in lexicographic selection order
-    (LOWER before UPPER, first edge most significant)."""
+    """All 2^e extremal weight functions, in the lexicographic selection order
+    of ``graph._extremal_masks``."""
     e = len(bounds.free_edges)
     if e > cap:
         raise BudgetExceededError(
             f"{e} free edges would enumerate 2^{e} extremal functions, over the cap of 2^{cap}"
         )
     out = []
-    for bits in itertools.product((EdgeChoice.LOWER, EdgeChoice.UPPER), repeat=e):
-        selection = EdgeSelection(bounds.free_edges, bits)
+    for mask in _extremal_masks(e):
+        selection = EdgeSelection.from_upper_mask(bounds, mask)
         out.append((selection, weight_from_selection(bounds, selection)))
     return out
-
-
-def _transition_stack(bounds: IntervalBounds) -> np.ndarray:
-    """Transition matrices of all 2^e extremal weight functions, stacked in
-    lexicographic selection order."""
-    i, j = bounds._free_idx
-    e = len(i)
-    s = bounds.size
-    m = 1 << e
-    shifts = np.arange(e - 1, -1, -1, dtype=np.uint64)
-    bits = ((np.arange(m, dtype=np.uint64)[:, None] >> shifts[None, :]) & 1).astype(bool)
-    mats = np.broadcast_to(bounds.lower, (m, s, s)).copy()
-    chosen = np.where(bits, bounds.free_upper[None, :], bounds.free_lower[None, :])
-    mats[:, i, j] = chosen
-    mats[:, j, i] = chosen
-    diag = np.arange(s)
-    mats[:, diag, diag] = bounds.marginal[None, :] - mats.sum(axis=2)
-    return mats / bounds.marginal[None, :, None]
 
 
 class _ArgTracker:
@@ -95,6 +83,9 @@ def exact_bounds(
     """Exact minimum and maximum of the n-step expectation over extremal
     schedules, with every optimal schedule within 1e-12 of the optimum.
 
+    Optimal schedules are listed in lexicographic order, step by step, of the
+    selection order of ``graph._extremal_masks``.
+
     Refuses (BudgetExceededError) when the (2^e)^n schedule evaluations would
     exceed `budget`, or when 2^e extremal functions exceed 2^`cap`.
     """
@@ -117,7 +108,9 @@ def exact_bounds(
         value = float(q @ f)
         return ExactBounds(value, value, ((),), ((),))
 
-    stack = _transition_stack(bounds)
+    table = _extremal_masks(e)
+    stack = _weights_from_masks(bounds, table)
+    stack /= bounds.marginal[:, None]
     m = stack.shape[0]
     mins = _ArgTracker(+1.0)
     maxs = _ArgTracker(-1.0)
@@ -140,11 +133,7 @@ def exact_bounds(
         out = []
         for k in prefix:
             if k not in selections:
-                bits = tuple(
-                    EdgeChoice.UPPER if (k >> (e - 1 - b)) & 1 else EdgeChoice.LOWER
-                    for b in range(e)
-                )
-                selections[k] = EdgeSelection(bounds.free_edges, bits)
+                selections[k] = EdgeSelection.from_upper_mask(bounds, table[k])
             out.append(selections[k])
         return tuple(out)
 

@@ -149,6 +149,13 @@ class TestExperimentCommands:
         cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
         assert main(["exp-count", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
+        args = ["--cells", "3x2", "--instances", "1", "--starts", "2", "--threads", threads]
+        assert main(["exp-count", *args, "--out", str(tmp_path / "r")]) == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize(
         "command,filename",
         [

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from intervalwalk import IntervalBounds, experiments
 from intervalwalk.experiments import (
     ExperimentConfig,
     REFERENCE_MEAN_EXTREMA,
@@ -104,6 +105,22 @@ class TestSweepComparison:
             for fraction in item["disagreement_fraction"].values():
                 assert 0.0 <= fraction <= 1.0
 
+    def test_tied_extrema_are_ordered_by_selection(self, tmp_path, monkeypatch):
+        # on this triangle two distinct one-step extrema share a value bit for bit
+        lower = np.full((3, 3), 0.2)
+        upper = np.full((3, 3), 0.4)
+        np.fill_diagonal(lower, 0.0)
+        np.fill_diagonal(upper, 0.0)
+        instance = (IntervalBounds(lower, upper, np.ones(3)), np.array([1.0, 0, 0]), np.arange(3.0))
+        monkeypatch.setattr(experiments, "generate_instance", lambda params: instance)
+        config = small_config(cells=((3, 1),), instances=1, starts=20)
+        csv_path, _ = run_sweep_comparison(config, tmp_path)
+        rows = read_rows(csv_path)[1:]
+        for sense in ("min", "max"):
+            values = [r[4] for r in rows if r[3] == sense]
+            assert len(values) == 2 and values[0] == values[1]
+            assert sum(float(r[5]) for r in rows if r[3] == sense) == pytest.approx(1.0)
+
     def test_two_state_orders_agree_on_best(self, tmp_path, two_state):
         # only two basins: both orders must report the same best values
         from intervalwalk import OptimizationProblem, multistart
@@ -112,6 +129,32 @@ class TestSweepComparison:
         lr = multistart(problem, 16, seed=1, order=SweepOrder.LEFT_TO_RIGHT)
         rl = multistart(problem, 16, seed=1, order=SweepOrder.RIGHT_TO_LEFT)
         assert lr.best.value == pytest.approx(rl.best.value, abs=1e-12)
+
+
+class TestMapTasks:
+    def test_threads_clamped_to_cpu_count(self, monkeypatch):
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        assert experiments._map_tasks(abs, [-1, -2], 64) == [1, 2]
+        assert seen == [3]
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments._map_tasks(abs, [-1, -2], 64) == [1, 2]
+        assert seen == [3]  # unknown CPU count: run serially
 
 
 class TestInitialVsOptimized:

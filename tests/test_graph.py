@@ -20,8 +20,19 @@ from intervalwalk import (
     selection_of,
     validate,
     weight_from_selection,
+    weight_matrix_from_mask,
 )
+from intervalwalk.graph import _extremal_masks, _weights_from_masks
 from intervalwalk.oracle import enumerate_extremal
+
+
+def reference_weight_matrix(bounds, mask):
+    """Entry-by-entry weight matrix of an endpoint mask, loops last."""
+    m = bounds.lower.copy()
+    for (x, y), up in zip(bounds.free_edges, mask):
+        m[x, y] = m[y, x] = bounds.upper[x, y] if up else bounds.lower[x, y]
+    np.fill_diagonal(m, bounds.marginal - m.sum(axis=1))
+    return m
 
 
 class TestStateSpace:
@@ -162,11 +173,28 @@ class TestWeightFromSelection:
         for i, j in ((0, 1), (1, 2), (0, 2)):
             lower[i, j] = lower[j, i] = 0.1
             upper[i, j] = upper[j, i] = 0.5
-        bounds = IntervalBounds(lower, upper, np.full(3, 1.2))
-        for selection, w in enumerate_extremal(bounds):
-            assert np.all(w.loop >= 0.0)
-            np.testing.assert_allclose(w.row_sums, bounds.marginal, rtol=1e-12)
-            assert selection_of(bounds, w) == selection
+        triangle = IntervalBounds(lower, upper, np.full(3, 1.2))
+        # a 4-cycle with one degenerate edge {1, 2} and two absent chords
+        lower = np.zeros((4, 4))
+        upper = np.zeros((4, 4))
+        edges = {(0, 1): (0.1, 0.3), (1, 2): (0.2, 0.2), (2, 3): (0.1, 0.4), (0, 3): (0.05, 0.2)}
+        for (i, j), (lo, up) in edges.items():
+            lower[i, j] = lower[j, i] = lo
+            upper[i, j] = upper[j, i] = up
+        cycle = IntervalBounds(lower, upper, np.full(4, 1.0))
+        assert cycle.free_edges == ((0, 1), (0, 3), (2, 3))
+        for bounds in (triangle, cycle):
+            pairs = enumerate_extremal(bounds)
+            table = _extremal_masks(len(bounds.free_edges))
+            stack = _weights_from_masks(bounds, table)
+            for (selection, w), mask, m in zip(pairs, table, stack, strict=True):
+                assert np.all(w.loop >= 0.0)
+                np.testing.assert_allclose(w.row_sums, bounds.marginal, rtol=1e-12)
+                assert selection_of(bounds, w) == selection
+                assert np.array_equal(selection.upper_mask(), mask)
+                single = weight_matrix_from_mask(bounds, mask)
+                assert m.tobytes() == single.tobytes() == w.matrix.tobytes()
+                assert m.tobytes() == reference_weight_matrix(bounds, mask).tobytes()
 
 
 class TestEdgeGradient:
