@@ -90,6 +90,8 @@ def _report_json(labels, report: MultistartReport) -> dict:
 
 
 def cmd_bounds(args) -> int:
+    if args.starts < 1:
+        return _fail(f"--starts must be at least 1, got {args.starts}", 2)
     try:
         instance = _load(args.instance)
     except ValueError as exc:
@@ -181,7 +183,10 @@ def _parse_cells(text: str) -> tuple[tuple[int, int], ...]:
     cells = []
     for part in text.split(","):
         v, _, n = part.strip().partition("x")
-        cells.append((int(v), int(n)))
+        try:
+            cells.append((int(v), int(n)))
+        except ValueError:
+            raise ValueError(f"bad --cells entry {part.strip()!r}: expected VERTICESxSTEPS, e.g. 4x2") from None
     return tuple(cells)
 
 

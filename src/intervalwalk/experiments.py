@@ -3,15 +3,19 @@
 Four experiments over grids of random instances: a census of unique local
 extrema, a comparison of the two sweep orders, initial-vs-optimized value
 scatter data, and best-so-far deviation curves with and without local
-optimization.  Every run is bit-deterministic for a given seed: each unit of
-work draws from a substream keyed by (seed, experiment, role, cell, instance),
-so neither scheduling nor worker count can change the output files.
+optimization.  Every runner descends through the same mask path as
+`multistart`: each start's endpoint masks go straight into the sweep, with no
+weight-function round trip.  Every run is bit-deterministic for a given seed:
+each unit of work draws from a substream keyed by (seed, experiment, role,
+cell, instance), so neither scheduling nor worker count can change the output
+files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,20 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .generate import GenParams, generate_instance
-from .optimize import (
-    OptimizationProblem,
-    Sense,
-    SweepOrder,
-    local_optimize,
-    multistart,
-    random_extremal_schedule,
-    selection_sort_key,
-)
+from .optimize import OptimizationProblem, Sense, SweepOrder, _census_rank, _descents, multistart
 from .rng import derive_seed, substream
 
 # experiment ids and stream roles for substream addressing
 _EXP_COUNT, _EXP_SWEEP, _EXP_SCATTER, _EXP_DEV = 1, 2, 3, 4
 _ROLE_GEN, _ROLE_MIN, _ROLE_MAX, _ROLE_SHUFFLE = 0, 1, 2, 3
+_SENSE_ROLES = {Sense.MIN: _ROLE_MIN, Sense.MAX: _ROLE_MAX}
 
 #: Reference mean extrema counts for this instance family, measured at the
 #: larger published scale (200 parameter sets, 1500 starts per set); recorded
@@ -51,6 +48,10 @@ REFERENCE_MEAN_EXTREMA = {
 }
 
 _DEFAULT_CELLS = tuple((v, n) for v in (4, 6, 8) for n in (2, 4, 6))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -75,17 +76,25 @@ class ExperimentConfig:
     marginal_slack: float = 0.1
 
     def __post_init__(self):
-        cells = tuple((int(v), int(n)) for v, n in self.cells)
+        try:
+            cells = tuple(tuple(cell) for cell in self.cells)
+        except TypeError:
+            raise ValueError(f"cells must be a list of (vertices, steps) pairs, got {self.cells!r}") from None
         if not cells:
             raise ValueError("need at least one (vertices, steps) cell")
-        for v, n in cells:
-            if v < 2 or n < 1:
-                raise ValueError(f"bad cell ({v}, {n}): vertices >= 2 and steps >= 1 required")
+        for cell in cells:
+            if len(cell) != 2 or not all(_is_integer(x) for x in cell):
+                raise ValueError(f"bad cell {cell!r}: need a (vertices, steps) pair of integers")
+            if cell[0] < 2 or cell[1] < 1:
+                raise ValueError(f"bad cell {cell}: vertices >= 2 and steps >= 1 required")
+        for name in ("instances", "starts", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.instances < 1 or self.starts < 1:
             raise ValueError("instances and starts must be at least 1")
         if not self.orders:
             raise ValueError("need at least one sweep order")
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cells", tuple((int(v), int(n)) for v, n in cells))
         object.__setattr__(self, "orders", tuple(self.orders))
 
     def gen_params(self, vertices: int, seed: int) -> GenParams:
@@ -125,8 +134,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config fields: {', '.join(sorted(unknown))}")
     kwargs = dict(data)
-    if "cells" in kwargs:
-        kwargs["cells"] = tuple(tuple(cell) for cell in kwargs["cells"])
     if "sense" in kwargs:
         kwargs["sense"] = Sense(kwargs["sense"])
     if "orders" in kwargs:
@@ -161,6 +168,15 @@ def _map_tasks(func, tasks, threads: int):
         return list(pool.map(func, tasks))
 
 
+def _run_grid(task, config: ExperimentConfig, out_dir, threads: int):
+    """Create `out_dir` and map `task` over every (config, cell, instance) of
+    the grid, in grid order; returns the directory and the task results."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tasks = [(config, ci, inst) for ci in range(len(config.cells)) for inst in range(config.instances)]
+    return out_dir, _map_tasks(task, tasks, threads)
+
+
 def _instance_for(config, exp_id, ci, inst):
     vertices, steps = config.cells[ci]
     params = config.gen_params(vertices, derive_seed(config.seed, exp_id, _ROLE_GEN, ci, inst))
@@ -174,20 +190,12 @@ def _instance_for(config, exp_id, ci, inst):
 def _count_task(args):
     config, ci, inst = args
     bounds, q, f, steps = _instance_for(config, _EXP_COUNT, ci, inst)
-    order = config.orders[0]
-    report_min = multistart(
-        OptimizationProblem(bounds, q, f, steps, Sense.MIN),
-        config.starts,
-        derive_seed(config.seed, _EXP_COUNT, _ROLE_MIN, ci, inst),
-        order,
-    )
-    report_max = multistart(
-        OptimizationProblem(bounds, q, f, steps, Sense.MAX),
-        config.starts,
-        derive_seed(config.seed, _EXP_COUNT, _ROLE_MAX, ci, inst),
-        order,
-    )
-    return ci, inst, len(report_min.unique_extrema), len(report_max.unique_extrema)
+    counts = []
+    for sense, role in _SENSE_ROLES.items():
+        problem = OptimizationProblem(bounds, q, f, steps, sense)
+        seed = derive_seed(config.seed, _EXP_COUNT, role, ci, inst)
+        counts.append(len(multistart(problem, config.starts, seed, config.orders[0]).unique_extrema))
+    return ci, inst, *counts
 
 
 def run_extrema_count(config: ExperimentConfig, out_dir, threads: int = 1) -> tuple[Path, Path]:
@@ -197,10 +205,7 @@ def run_extrema_count(config: ExperimentConfig, out_dir, threads: int = 1) -> tu
     unique_local_maxima.  After each cell's instances one summary row with
     instance_id = "mean" carries the per-cell sample means.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(config, ci, inst) for ci in range(len(config.cells)) for inst in range(config.instances)]
-    results = _map_tasks(_count_task, tasks, threads)
+    out_dir, results = _run_grid(_count_task, config, out_dir, threads)
 
     rows = []
     cell_stats = []
@@ -243,28 +248,22 @@ def _sweep_task(args):
     config, ci, inst = args
     bounds, q, f, steps = _instance_for(config, _EXP_SWEEP, ci, inst)
     out = []
-    for sense, role in ((Sense.MIN, _ROLE_MIN), (Sense.MAX, _ROLE_MAX)):
+    for sense, role in _SENSE_ROLES.items():
         problem = OptimizationProblem(bounds, q, f, steps, sense)
         seed = derive_seed(config.seed, _EXP_SWEEP, role, ci, inst)
         census: dict[tuple, list] = {}
         disagreements = 0
-        for idx in range(config.starts):
-            start = random_extremal_schedule(bounds, steps, substream(seed, idx))
-            run_lr = local_optimize(problem, start, SweepOrder.LEFT_TO_RIGHT)
-            run_rl = local_optimize(problem, start, SweepOrder.RIGHT_TO_LEFT)
+        # both generators draw start idx from substream (seed, idx): identical starts
+        for run_lr, run_rl in zip(
+            _descents(problem, config.starts, seed, SweepOrder.LEFT_TO_RIGHT),
+            _descents(problem, config.starts, seed, SweepOrder.RIGHT_TO_LEFT),
+        ):
             if run_lr.selections != run_rl.selections:
                 disagreements += 1
             for column, run in ((0, run_lr), (1, run_rl)):
                 entry = census.setdefault(run.selections, [run.value, 0, 0])
                 entry[1 + column] += 1
-        reverse = sense is Sense.MAX
-        ordered = sorted(
-            census.items(),
-            key=lambda item: (
-                -item[1][0] if reverse else item[1][0],
-                selection_sort_key(item[0]),
-            ),
-        )
+        ordered = sorted(census.items(), key=lambda item: _census_rank(item[0], item[1][0], sense))
         fraction = disagreements / config.starts
         for _, (value, hits_lr, hits_rl) in ordered:
             out.append(
@@ -281,10 +280,7 @@ def run_sweep_comparison(config: ExperimentConfig, out_dir, threads: int = 1) ->
     per-instance fraction of starts whose two descents reached different
     extrema, repeated on each of its rows).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(config, ci, inst) for ci in range(len(config.cells)) for inst in range(config.instances)]
-    results = _map_tasks(_sweep_task, tasks, threads)
+    out_dir, results = _run_grid(_sweep_task, config, out_dir, threads)
 
     rows = []
     disagreement_stats = []
@@ -332,18 +328,21 @@ def run_sweep_comparison(config: ExperimentConfig, out_dir, threads: int = 1) ->
 # --- initial value vs optimized value -----------------------------------------
 
 
+def _value_pairs(config, exp_id, ci, inst):
+    """The problem of one grid instance in `config.sense`, and a lazy
+    (start value, optimized value) pair per start, so that a caller can
+    refuse the problem before any descent runs."""
+    bounds, q, f, steps = _instance_for(config, exp_id, ci, inst)
+    problem = OptimizationProblem(bounds, q, f, steps, config.sense)
+    seed = derive_seed(config.seed, exp_id, _SENSE_ROLES[config.sense], ci, inst)
+    runs = _descents(problem, config.starts, seed, config.orders[0])
+    return problem, ((run.start_value, run.value) for run in runs)
+
+
 def _scatter_task(args):
     config, ci, inst = args
-    bounds, q, f, steps = _instance_for(config, _EXP_SCATTER, ci, inst)
-    problem = OptimizationProblem(bounds, q, f, steps, config.sense)
-    role = _ROLE_MIN if config.sense is Sense.MIN else _ROLE_MAX
-    seed = derive_seed(config.seed, _EXP_SCATTER, role, ci, inst)
-    pairs = []
-    for idx in range(config.starts):
-        start = random_extremal_schedule(bounds, steps, substream(seed, idx))
-        run = local_optimize(problem, start, config.orders[0])
-        pairs.append((run.start_value, run.value))
-    return ci, inst, pairs
+    _, pairs = _value_pairs(config, _EXP_SCATTER, ci, inst)
+    return ci, inst, list(pairs)
 
 
 def run_initial_vs_optimized(
@@ -355,10 +354,7 @@ def run_initial_vs_optimized(
     optimized_value.  The run summary records the per-instance sample
     correlation between the two columns (null when degenerate).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(config, ci, inst) for ci in range(len(config.cells)) for inst in range(config.instances)]
-    results = _map_tasks(_scatter_task, tasks, threads)
+    out_dir, results = _run_grid(_scatter_task, config, out_dir, threads)
 
     rows = []
     correlations = []
@@ -394,19 +390,10 @@ def run_initial_vs_optimized(
 
 def _deviation_task(args):
     config, ci, inst = args
-    bounds, q, f, steps = _instance_for(config, _EXP_DEV, ci, inst)
-    if np.any(q < 0.0) or np.any(f < 0.0):
+    problem, pairs = _value_pairs(config, _EXP_DEV, ci, inst)
+    if np.any(problem.q < 0.0) or np.any(problem.f < 0.0):
         raise ValueError("deviation curves need nonnegative q and f")
-    problem = OptimizationProblem(bounds, q, f, steps, config.sense)
-    role = _ROLE_MIN if config.sense is Sense.MIN else _ROLE_MAX
-    seed = derive_seed(config.seed, _EXP_DEV, role, ci, inst)
-    start_values = np.empty(config.starts)
-    optimized_values = np.empty(config.starts)
-    for idx in range(config.starts):
-        start = random_extremal_schedule(bounds, steps, substream(seed, idx))
-        run = local_optimize(problem, start, config.orders[0])
-        start_values[idx] = run.start_value
-        optimized_values[idx] = run.value
+    start_values, optimized_values = np.array(list(pairs)).T
 
     shuffle = substream(config.seed, _EXP_DEV, _ROLE_SHUFFLE, ci, inst).permutation(config.starts)
     if config.sense is Sense.MIN:
@@ -435,10 +422,7 @@ def run_deviation_curves(config: ExperimentConfig, out_dir, threads: int = 1) ->
     max_rel_dev_optimized, max_rel_dev_random, aggregated over all parameter
     sets (cells x instances).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(config, ci, inst) for ci in range(len(config.cells)) for inst in range(config.instances)]
-    results = _map_tasks(_deviation_task, tasks, threads)
+    out_dir, results = _run_grid(_deviation_task, config, out_dir, threads)
 
     dev_opt = np.vstack([r[3] for r in results])
     dev_rand = np.vstack([r[4] for r in results])

@@ -300,6 +300,11 @@ def selection_sort_key(selections: Sequence[EdgeSelection]) -> tuple:
     return tuple(tuple(int(c) for c in sel.choices) for sel in selections)
 
 
+def _census_rank(selections, value, sense) -> tuple:
+    """Census order: best value first in the problem's sense, ties by selection."""
+    return (-value if sense is Sense.MAX else value, selection_sort_key(selections))
+
+
 def _aggregate(runs, starts, seed, sense) -> MultistartReport:
     census: dict[tuple, tuple[LocalOptimum, int]] = {}
     for run in runs:
@@ -309,17 +314,19 @@ def _aggregate(runs, starts, seed, sense) -> MultistartReport:
             census[key] = (first, hits + 1)
         else:
             census[key] = (run, 1)
-    reverse = sense is Sense.MAX
-    ordered = sorted(
-        census.items(),
-        key=lambda item: (
-            -item[1][0].value if reverse else item[1][0].value,
-            selection_sort_key(item[0]),
-        ),
-    )
+    ordered = sorted(census.items(), key=lambda item: _census_rank(item[0], item[1][0].value, sense))
     unique = tuple((key, run.value, hits) for key, (run, hits) in ordered)
     best = ordered[0][1][0]
     return MultistartReport(best, unique, starts, seed)
+
+
+def _descents(problem, starts, seed, order, tol=TOL):
+    """Lazily, the local optimum reached from each of `starts` random extremal
+    schedules.  Start `idx` draws from substream (seed, idx), so two calls with
+    the same seed descend from identical starts, whatever the sweep order."""
+    for idx in range(starts):
+        masks = _random_upper_masks(problem.bounds, problem.n, rngmod.substream(seed, idx))
+        yield _optimize_from_masks(problem, masks, order, tol)
 
 
 def multistart(
@@ -336,12 +343,7 @@ def multistart(
     """
     if starts < 1:
         raise ValueError("need at least one start")
-    runs = []
-    for idx in range(starts):
-        stream = rngmod.substream(seed, idx)
-        masks = _random_upper_masks(problem.bounds, problem.n, stream)
-        runs.append(_optimize_from_masks(problem, masks, order, tol))
-    return _aggregate(runs, starts, seed, problem.sense)
+    return _aggregate(_descents(problem, starts, seed, order, tol), starts, seed, problem.sense)
 
 
 def multistart_exhaustive(

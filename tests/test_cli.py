@@ -87,6 +87,13 @@ class TestBoundsCommand:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["bounds", str(path)]) == 1
 
+    @pytest.mark.parametrize("starts", ["0", "-1"])
+    def test_starts_below_one_exit_two(self, example_file, tmp_path, capsys, starts):
+        out = tmp_path / "record.json"
+        assert main(["bounds", str(example_file), "--starts", starts, "--out", str(out)]) == 2
+        assert f"--starts must be at least 1, got {starts}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_exact_bounds(self, example_file, tmp_path, capsys):
@@ -144,10 +151,32 @@ class TestExperimentCommands:
         summary = json.loads((out / "extrema_counts_summary.json").read_text())
         assert summary["config"]["starts"] == 4
 
-    def test_bad_config_exits_two(self, tmp_path):
+    @pytest.mark.parametrize(
+        "config,flags,message",
+        [
+            pytest.param({"bogus": 1}, [], "unknown config fields: bogus", id="unknown-field"),
+            pytest.param({"cells": 5}, [], "cells must be a list", id="cells-not-a-list"),
+            pytest.param({"cells": [[4, 2.5]]}, [], "bad cell (4, 2.5)", id="cell-not-integer"),
+            pytest.param({"instances": "3"}, [], "instances must be an integer", id="instances-string"),
+            pytest.param(
+                {"instances": 2.5, "cells": [[3, 2]], "starts": 2},
+                [],
+                "instances must be an integer",
+                id="instances-float",
+            ),
+            pytest.param({"seed": 1.5}, [], "seed must be an integer", id="seed-float"),
+            pytest.param(
+                {}, ["--cells", "4"], "bad --cells entry '4': expected VERTICESxSTEPS", id="cells-flag"
+            ),
+        ],
+    )
+    def test_bad_config_exits_two(self, tmp_path, capsys, config, flags, message):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
-        assert main(["exp-count", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        args = ["exp-count", "--config", str(cfg), *flags, "--out", str(tmp_path / "r")]
+        assert main(args) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
@@ -168,4 +197,6 @@ class TestExperimentCommands:
         args = ["--cells", "3x2", "--instances", "2", "--starts", "5", "--seed", "2"]
         assert main([command, *args, "--out", str(tmp_path / "a")]) == 0
         assert main([command, *args, "--out", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "a" / filename).read_bytes() == (tmp_path / "b" / filename).read_bytes()
+        assert main([command, *args, "--threads", "2", "--out", str(tmp_path / "c")]) == 0
+        a, b, c = ((tmp_path / run / filename).read_bytes() for run in "abc")
+        assert a == b == c

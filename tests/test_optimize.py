@@ -20,7 +20,9 @@ from intervalwalk import (
     random_extremal_schedule,
     selection_of,
 )
+from intervalwalk.optimize import _descents
 from intervalwalk.oracle import BudgetExceededError
+from intervalwalk.rng import substream
 
 
 def two_state_problem(two_state, sense=Sense.MIN, n=2):
@@ -226,6 +228,22 @@ class TestMultistart:
     def test_rejects_zero_starts(self, two_state):
         with pytest.raises(ValueError):
             multistart(two_state_problem(two_state), 0, seed=0)
+
+
+class TestDescents:
+    @pytest.mark.parametrize("vertices", [3, 4, 5, 6])
+    def test_matches_local_optimize_from_sampled_schedules(self, vertices):
+        # the mask path must reach, field for field, what the public
+        # weight-function path reaches from the same sampled start
+        bounds, q, f = generate_instance(GenParams(s=vertices, seed=vertices))
+        for sense in Sense:
+            for order in SweepOrder:
+                problem = OptimizationProblem(bounds, q, f, 3, sense)
+                runs = list(_descents(problem, 6, 17, order))
+                assert len(runs) == 6
+                for idx, run in enumerate(runs):
+                    start = random_extremal_schedule(bounds, problem.n, substream(17, idx))
+                    assert run == local_optimize(problem, start, order)
 
 
 class TestMultistartExhaustive:
