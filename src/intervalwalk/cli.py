@@ -92,6 +92,8 @@ def _report_json(labels, report: MultistartReport) -> dict:
 def cmd_bounds(args) -> int:
     if args.starts < 1:
         return _fail(f"--starts must be at least 1, got {args.starts}", 2)
+    if args.seed < 0:
+        return _fail(f"--seed must be non-negative, got {args.seed}", 2)
     try:
         instance = _load(args.instance)
     except ValueError as exc:
@@ -153,17 +155,20 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = GenParams(
-        s=args.vertices,
-        disconnect_fraction=args.disconnect_fraction,
-        lower_mean=args.lower_mean,
-        width_mean=args.width_mean,
-        qf_mean=args.qf_mean,
-        marginal_slack=args.marginal_slack,
-        seed=args.seed,
-    )
-    bounds, q, f = generate_instance(params)
-    instance = ProblemInstance(StateSpace.of_size(args.vertices), bounds, q, f, args.steps)
+    try:
+        params = GenParams(
+            s=args.vertices,
+            disconnect_fraction=args.disconnect_fraction,
+            lower_mean=args.lower_mean,
+            width_mean=args.width_mean,
+            qf_mean=args.qf_mean,
+            marginal_slack=args.marginal_slack,
+            seed=args.seed,
+        )
+        bounds, q, f = generate_instance(params)
+        instance = ProblemInstance(StateSpace.of_size(args.vertices), bounds, q, f, args.steps)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
     save_instance(args.out, instance)
     pairs = args.vertices * (args.vertices - 1) // 2
     edges = int(np.count_nonzero(bounds.upper) // 2)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .generate import GenParams, generate_instance
-from .optimize import OptimizationProblem, Sense, SweepOrder, _census_rank, _descents, multistart
+from .generate import GenParams, _is_integer, generate_instance
+from .optimize import OptimizationProblem, Sense, SweepOrder, multistart
+from .optimize import _census_rank, _descents, _random_starts
 from .rng import derive_seed, substream
 
 # experiment ids and stream roles for substream addressing
@@ -48,10 +48,6 @@ REFERENCE_MEAN_EXTREMA = {
 }
 
 _DEFAULT_CELLS = tuple((v, n) for v in (4, 6, 8) for n in (2, 4, 6))
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -87,11 +83,13 @@ class ExperimentConfig:
                 raise ValueError(f"bad cell {cell!r}: need a (vertices, steps) pair of integers")
             if cell[0] < 2 or cell[1] < 1:
                 raise ValueError(f"bad cell {cell}: vertices >= 2 and steps >= 1 required")
-        for name in ("instances", "starts", "seed"):
+        for name in ("instances", "starts"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.instances < 1 or self.starts < 1:
             raise ValueError("instances and starts must be at least 1")
+        # the generator fields and the seed obey GenParams' rules
+        self.gen_params(cells[0][0], self.seed)
         if not self.orders:
             raise ValueError("need at least one sweep order")
         object.__setattr__(self, "cells", tuple((int(v), int(n)) for v, n in cells))
@@ -137,6 +135,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "sense" in kwargs:
         kwargs["sense"] = Sense(kwargs["sense"])
     if "orders" in kwargs:
+        if not isinstance(kwargs["orders"], list):
+            raise ValueError(f"orders must be a list of sweep orders, got {kwargs['orders']!r}")
         kwargs["orders"] = tuple(SweepOrder(o) for o in kwargs["orders"])
     return ExperimentConfig(**kwargs)
 
@@ -251,12 +251,12 @@ def _sweep_task(args):
     for sense, role in _SENSE_ROLES.items():
         problem = OptimizationProblem(bounds, q, f, steps, sense)
         seed = derive_seed(config.seed, _EXP_SWEEP, role, ci, inst)
+        starts = list(_random_starts(problem, config.starts, seed))
         census: dict[tuple, list] = {}
         disagreements = 0
-        # both generators draw start idx from substream (seed, idx): identical starts
         for run_lr, run_rl in zip(
-            _descents(problem, config.starts, seed, SweepOrder.LEFT_TO_RIGHT),
-            _descents(problem, config.starts, seed, SweepOrder.RIGHT_TO_LEFT),
+            _descents(problem, starts, SweepOrder.LEFT_TO_RIGHT),
+            _descents(problem, starts, SweepOrder.RIGHT_TO_LEFT),
         ):
             if run_lr.selections != run_rl.selections:
                 disagreements += 1
@@ -335,7 +335,7 @@ def _value_pairs(config, exp_id, ci, inst):
     bounds, q, f, steps = _instance_for(config, exp_id, ci, inst)
     problem = OptimizationProblem(bounds, q, f, steps, config.sense)
     seed = derive_seed(config.seed, exp_id, _SENSE_ROLES[config.sense], ci, inst)
-    runs = _descents(problem, config.starts, seed, config.orders[0])
+    runs = _descents(problem, _random_starts(problem, config.starts, seed), config.orders[0])
     return problem, ((run.start_value, run.value) for run in runs)
 
 

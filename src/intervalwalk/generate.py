@@ -9,6 +9,8 @@ loop mass for every admissible weight function.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,18 @@ from .rng import exponential, substream
 
 #: Attempts at a connected adjacency before giving up.
 RETRY_CAP = 1000
+
+
+#: The real-valued GenParams fields; all but the first must be positive.
+_REAL_FIELDS = ("disconnect_fraction", "lower_mean", "width_mean", "qf_mean", "marginal_slack")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class GenerationError(RuntimeError):
@@ -44,11 +58,19 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("s", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in _REAL_FIELDS:
+            if not _is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.s < 2:
             raise ValueError("need at least two vertices")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.disconnect_fraction < 1.0:
             raise ValueError("disconnect_fraction must be in [0, 1)")
-        for name in ("lower_mean", "width_mean", "qf_mean", "marginal_slack"):
+        for name in _REAL_FIELDS[1:]:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 

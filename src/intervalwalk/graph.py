@@ -430,6 +430,15 @@ def _weights_from_masks(bounds: IntervalBounds, masks: np.ndarray) -> np.ndarray
     return m
 
 
+def _transitions_from_masks(bounds: IntervalBounds, masks: np.ndarray) -> np.ndarray:
+    """Transition matrices for a (..., e) boolean stack of endpoint masks:
+    the weight matrices of `_weights_from_masks`, each row divided in place
+    by its marginal, so the stack is never held twice."""
+    m = _weights_from_masks(bounds, masks)
+    m /= bounds.marginal[:, None]
+    return m
+
+
 def weight_matrix_from_mask(bounds: IntervalBounds, upper_mask) -> np.ndarray:
     """Full weight matrix (loops included) for one endpoint mask over the free
     edges: the upper endpoint where the mask is True, the lower one elsewhere."""

@@ -26,7 +26,7 @@ from .graph import (
     WeightFunction,
     _extremal_masks,
     _gradient_upper_mask,
-    _weights_from_masks,
+    _transitions_from_masks,
     one_step_minimizer,
     selection_of,
     weight_from_selection,
@@ -139,19 +139,23 @@ def improve_at(
     return replacement, (value if problem.sense is Sense.MIN else -value)
 
 
-def _descend(bounds, q, f, mats, masks, order, tol):
+def _descend(problem, mats, masks, order) -> LocalOptimum:
     """Sweep single-step replacements until a full pass changes nothing.
 
-    Minimizes <q, P_1 ... P_n f>; callers handle MAX by negating f.  `mats`
-    (transition matrices) and `masks` (endpoint masks, None while a step is
-    interior) are mutated in place.  Step k reads the prefix mass before it
-    and the suffix payoff after it.  The side the sweep walks away from is
-    rebuilt at the start of each sweep; the side it walks toward is extended
-    after each step, so neither is stale when read.
+    Minimizes <q, P_1 ... P_n f>, with f negated for MAX problems, and
+    accepts a replacement only when it gains more than TOL·max(1, |value|).
+    `mats` (transition matrices) and `masks` (endpoint masks, None while a
+    step is interior) are mutated in place.  Step k reads the prefix mass
+    before it and the suffix payoff after it.  The side the sweep walks away
+    from is rebuilt at the start of each sweep; the side it walks toward is
+    extended after each step, so neither is stale when read.  The result is
+    in the problem's own sense.
     """
+    bounds = problem.bounds
+    q = problem.q
+    f = problem.f if problem.sense is Sense.MIN else -problem.f
     n = len(mats)
     marg = bounds.marginal
-    marg_col = marg[:, None]
     prefix = [q] * (n + 1)
     suffix = [f] * (n + 1)
 
@@ -168,7 +172,7 @@ def _descend(bounds, q, f, mats, masks, order, tol):
 
     def candidate(ql, fr):
         mask = _gradient_upper_mask(bounds, ql / marg, fr)
-        return mask, _weights_from_masks(bounds, mask) / marg_col
+        return mask, _transitions_from_masks(bounds, mask)
 
     def fold_value():
         g = f
@@ -190,7 +194,7 @@ def _descend(bounds, q, f, mats, masks, order, tol):
             ql, fr = prefix[k], suffix[k + 1]
             mask, mat = candidate(ql, fr)
             v_new = float(ql @ (mat @ fr))
-            threshold = tol * max(1.0, abs(value))
+            threshold = TOL * max(1.0, abs(value))
             if v_new < value - threshold:
                 mats[k], masks[k] = mat, mask
                 value = v_new
@@ -206,11 +210,7 @@ def _descend(bounds, q, f, mats, masks, order, tol):
         if not changed:
             break
 
-    return fold_value(), trace, sweeps, improvements
-
-
-def _finish(problem, masks, value, trace, sweeps, improvements) -> LocalOptimum:
-    bounds = problem.bounds
+    value = fold_value()
     for k, mask in enumerate(masks):
         if mask is None:
             raise RuntimeError(f"step {k} could not be pinned to an extremal function")
@@ -225,12 +225,11 @@ def local_optimize(
     problem: OptimizationProblem,
     start: Sequence[WeightFunction],
     order: SweepOrder = SweepOrder.LEFT_TO_RIGHT,
-    tol: float = TOL,
 ) -> LocalOptimum:
     """Run replacement sweeps from `start` until a fixed point is reached.
 
     A replacement is accepted only when it beats the current objective by
-    more than tol * max(1, |value|), which rules out cycling among equal
+    more than TOL·max(1, |value|), which rules out cycling among equal
     extremal schedules and forces termination.  Interior (non-extremal) start
     steps are pinned to an extremal function of no worse value on first
     visit, so the result is always a schedule of extremal weight functions.
@@ -239,29 +238,12 @@ def local_optimize(
     if len(start) != problem.n:
         raise ValueError(f"start has {len(start)} steps, problem wants {problem.n}")
     bounds = problem.bounds
-    f_eff = problem.f if problem.sense is Sense.MIN else -problem.f
     mats = [transition_matrix(bounds, w) for w in start]
     masks = []
     for w in start:
         sel = selection_of(bounds, w)
         masks.append(None if sel is None else sel.upper_mask())
-    value, trace, sweeps, improvements = _descend(
-        bounds, problem.q, f_eff, mats, masks, order, tol
-    )
-    return _finish(problem, masks, value, trace, sweeps, improvements)
-
-
-def _optimize_from_masks(problem, start_masks, order, tol) -> LocalOptimum:
-    """Descent starting from an (n, e) boolean array of per-step endpoint
-    masks (fast path, no WeightFunction materialization)."""
-    bounds = problem.bounds
-    f_eff = problem.f if problem.sense is Sense.MIN else -problem.f
-    mats = list(_weights_from_masks(bounds, start_masks) / bounds.marginal[:, None])
-    masks = list(start_masks)
-    value, trace, sweeps, improvements = _descend(
-        bounds, problem.q, f_eff, mats, masks, order, tol
-    )
-    return _finish(problem, masks, value, trace, sweeps, improvements)
+    return _descend(problem, mats, masks, order)
 
 
 def _random_upper_masks(bounds: IntervalBounds, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -320,13 +302,19 @@ def _aggregate(runs, starts, seed, sense) -> MultistartReport:
     return MultistartReport(best, unique, starts, seed)
 
 
-def _descents(problem, starts, seed, order, tol=TOL):
-    """Lazily, the local optimum reached from each of `starts` random extremal
-    schedules.  Start `idx` draws from substream (seed, idx), so two calls with
-    the same seed descend from identical starts, whatever the sweep order."""
+def _random_starts(problem, starts, seed):
+    """Lazily, the (n, e) endpoint masks of `starts` random extremal
+    schedules.  Start `idx` draws from substream (seed, idx), so the starts do
+    not depend on how, or in what order, they are descended."""
     for idx in range(starts):
-        masks = _random_upper_masks(problem.bounds, problem.n, rngmod.substream(seed, idx))
-        yield _optimize_from_masks(problem, masks, order, tol)
+        yield _random_upper_masks(problem.bounds, problem.n, rngmod.substream(seed, idx))
+
+
+def _descents(problem, start_masks, order):
+    """Lazily, the local optimum reached from each (n, e) start mask array."""
+    for masks in start_masks:
+        mats = list(_transitions_from_masks(problem.bounds, masks))
+        yield _descend(problem, mats, list(masks), order)
 
 
 def multistart(
@@ -334,7 +322,6 @@ def multistart(
     starts: int,
     seed: int,
     order: SweepOrder = SweepOrder.LEFT_TO_RIGHT,
-    tol: float = TOL,
 ) -> MultistartReport:
     """Local descent from `starts` random extremal schedules.
 
@@ -343,13 +330,13 @@ def multistart(
     """
     if starts < 1:
         raise ValueError("need at least one start")
-    return _aggregate(_descents(problem, starts, seed, order, tol), starts, seed, problem.sense)
+    runs = _descents(problem, _random_starts(problem, starts, seed), order)
+    return _aggregate(runs, starts, seed, problem.sense)
 
 
 def multistart_exhaustive(
     problem: OptimizationProblem,
     order: SweepOrder = SweepOrder.LEFT_TO_RIGHT,
-    tol: float = TOL,
     budget: int = 2**16,
 ) -> MultistartReport:
     """Local descent from every extremal schedule, in lexicographic order
@@ -368,7 +355,6 @@ def multistart_exhaustive(
             f"{total} starts, over the budget of {budget}"
         )
     table = _extremal_masks(e)
-    runs = []
-    for combo in itertools.product(range(len(table)), repeat=problem.n):
-        runs.append(_optimize_from_masks(problem, table[list(combo)], order, tol))
+    combos = itertools.product(range(len(table)), repeat=problem.n)
+    runs = _descents(problem, (table[list(combo)] for combo in combos), order)
     return _aggregate(runs, total, None, problem.sense)

@@ -18,7 +18,7 @@ from .graph import (
     IntervalBounds,
     WeightFunction,
     _extremal_masks,
-    _weights_from_masks,
+    _transitions_from_masks,
     weight_from_selection,
 )
 
@@ -109,8 +109,7 @@ def exact_bounds(
         return ExactBounds(value, value, ((),), ((),))
 
     table = _extremal_masks(e)
-    stack = _weights_from_masks(bounds, table)
-    stack /= bounds.marginal[:, None]
+    stack = _transitions_from_masks(bounds, table)
     m = stack.shape[0]
     mins = _ArgTracker(+1.0)
     maxs = _ArgTracker(-1.0)

@@ -94,6 +94,12 @@ class TestBoundsCommand:
         assert f"--starts must be at least 1, got {starts}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exit_two(self, example_file, tmp_path, capsys):
+        out = tmp_path / "record.json"
+        assert main(["bounds", str(example_file), "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_exact_bounds(self, example_file, tmp_path, capsys):
@@ -123,6 +129,24 @@ class TestGenCommand:
         main(["gen", "--vertices", "6", "--seed", "9", "--out", str(a)])
         main(["gen", "--vertices", "6", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            pytest.param(["--vertices", "1"], "need at least two vertices", id="one-vertex"),
+            pytest.param(
+                ["--vertices", "3", "--steps", "-1"], "steps must be nonnegative", id="negative-steps"
+            ),
+            pytest.param(
+                ["--vertices", "4", "--seed", "-1"], "seed must be non-negative, got -1", id="negative-seed"
+            ),
+        ],
+    )
+    def test_bad_arguments_exit_two(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "g.json"
+        assert main(["gen", *flags, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExperimentCommands:
@@ -165,6 +189,21 @@ class TestExperimentCommands:
                 id="instances-float",
             ),
             pytest.param({"seed": 1.5}, [], "seed must be an integer", id="seed-float"),
+            pytest.param({"seed": -1}, [], "seed must be non-negative, got -1", id="seed-negative"),
+            pytest.param(
+                {},
+                ["--cells", "3x2", "--instances", "1", "--starts", "2", "--seed", "-1"],
+                "seed must be non-negative, got -1",
+                id="seed-flag-negative",
+            ),
+            pytest.param({"orders": 5}, [], "orders must be a list", id="orders-not-a-list"),
+            pytest.param({"lower_mean": "x"}, [], "lower_mean must be a finite number", id="lower-mean-x"),
+            pytest.param(
+                {"disconnect_fraction": 1.5},
+                [],
+                "disconnect_fraction must be in [0, 1)",
+                id="disconnect-fraction-out-of-range",
+            ),
             pytest.param(
                 {}, ["--cells", "4"], "bad --cells entry '4': expected VERTICESxSTEPS", id="cells-flag"
             ),

@@ -23,6 +23,10 @@ class TestGenParams:
             {"s": 4, "disconnect_fraction": -0.1},
             {"s": 4, "lower_mean": 0.0},
             {"s": 4, "marginal_slack": 0.0},
+            {"s": 4, "seed": -1},
+            {"s": 4, "lower_mean": "x"},
+            {"s": 4, "width_mean": float("inf")},
+            {"s": 4.0},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

@@ -6,11 +6,14 @@ import pytest
 from conftest import random_weight
 from intervalwalk import (
     EdgeChoice,
+    EdgeSelection,
     GenParams,
+    IntervalBounds,
     OptimizationProblem,
     Sense,
     SweepOrder,
     close,
+    edge_gradient,
     expectation,
     generate_instance,
     improve_at,
@@ -19,8 +22,10 @@ from intervalwalk import (
     multistart_exhaustive,
     random_extremal_schedule,
     selection_of,
+    validate,
+    weight_from_selection,
 )
-from intervalwalk.optimize import _descents
+from intervalwalk.optimize import _descents, _random_starts
 from intervalwalk.oracle import BudgetExceededError
 from intervalwalk.rng import substream
 
@@ -239,7 +244,7 @@ class TestDescents:
         for sense in Sense:
             for order in SweepOrder:
                 problem = OptimizationProblem(bounds, q, f, 3, sense)
-                runs = list(_descents(problem, 6, 17, order))
+                runs = list(_descents(problem, _random_starts(problem, 6, 17), order))
                 assert len(runs) == 6
                 for idx, run in enumerate(runs):
                     start = random_extremal_schedule(bounds, problem.n, substream(17, idx))
@@ -283,3 +288,46 @@ class TestMaxIsMinOfNegated:
             a = multistart(pmax, 20, seed=7)
             b = multistart(pneg, 20, seed=7)
             assert close(a.best.value, -b.best.value)
+
+
+def tied_edge_problem(sense):
+    """Path 0-1-2 with one step and f(0) = f(1), so edge {0, 1} has gradient
+    exactly 0; dyadic numbers make the two endpoints' values equal bit for bit."""
+    lower = [[0.0, 0.25, 0.0], [0.25, 0.0, 0.25], [0.0, 0.25, 0.0]]
+    upper = [[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]]
+    bounds = IntervalBounds(lower, upper, [2.0, 2.0, 2.0])
+    return OptimizationProblem(bounds, [0.0, 1.0, 0.0], [1.0, 1.0, 2.0], 1, sense)
+
+
+class TestTieRule:
+    """A replacement must beat the current value by more than TOL·max(1, |value|)."""
+
+    def test_instance_has_an_exact_zero_gradient(self):
+        problem = tied_edge_problem(Sense.MIN)
+        assert validate(problem.bounds).ok
+        assert problem.bounds.free_edges == ((0, 1), (1, 2))
+        assert edge_gradient(problem.bounds, problem.q, problem.f)[0, 1] == 0.0
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    @pytest.mark.parametrize("choice", list(EdgeChoice), ids=lambda c: c.name.lower())
+    def test_local_optimize_keeps_the_start_endpoint(self, sense, choice):
+        problem = tied_edge_problem(sense)
+        # edge {1, 2} starts at its optimal endpoint for the sense
+        other = EdgeChoice.LOWER if sense is Sense.MIN else EdgeChoice.UPPER
+        selection = EdgeSelection(problem.bounds.free_edges, (choice, other))
+        start = weight_from_selection(problem.bounds, selection)
+        result = local_optimize(problem, (start,))
+        assert result.improvements == 0
+        assert result.value == result.start_value
+        assert result.selections[0].choices == (choice, other)
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_multistart_lists_both_endpoints_lower_first(self, sense):
+        report = multistart(tied_edge_problem(sense), 16, seed=0)
+        assert [sels[0].choice(0, 1) for sels, _, _ in report.unique_extrema] == [
+            EdgeChoice.LOWER,
+            EdgeChoice.UPPER,
+        ]
+        lower_value, upper_value = (value for _, value, _ in report.unique_extrema)
+        assert lower_value == upper_value
+        assert report.best.selections == report.unique_extrema[0][0]
