@@ -23,7 +23,7 @@ from .experiments import (
     run_initial_vs_optimized,
     run_sweep_comparison,
 )
-from .generate import GenParams, generate_instance
+from .generate import _REAL_FIELDS, GenerationError, GenParams, generate_instance
 from .graph import StateSpace, validate
 from .instancefile import ProblemInstance, load_instance, save_instance
 from .optimize import MultistartReport, Sense, SweepOrder, multistart
@@ -67,14 +67,8 @@ def _print_report(labels, sense: Sense, report: MultistartReport) -> None:
         f"{value!r} (hits {hits})" for _, value, hits in report.unique_extrema
     )
     print(f"  unique local {word}: {len(report.unique_extrema)} [{values}]")
-    for step, sel in enumerate(report.best.selections, start=1):
-        parts = (
-            ", ".join(
-                f"{{{labels[x]},{labels[y]}}}={choice.name.lower()}"
-                for (x, y), choice in zip(sel.edges, sel.choices)
-            )
-            or "(no free edges)"
-        )
+    for step, edges in enumerate(_schedule_json(labels, report.best.selections), start=1):
+        parts = ", ".join(f"{{{x},{y}}}={choice}" for x, y, choice in edges) or "(no free edges)"
         print(f"  step {step}: {parts}")
 
 
@@ -156,18 +150,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        params = GenParams(
-            s=args.vertices,
-            disconnect_fraction=args.disconnect_fraction,
-            lower_mean=args.lower_mean,
-            width_mean=args.width_mean,
-            qf_mean=args.qf_mean,
-            marginal_slack=args.marginal_slack,
-            seed=args.seed,
-        )
+        fields = {name: getattr(args, name) for name in _REAL_FIELDS}
+        params = GenParams(args.vertices, seed=args.seed, **fields)
         bounds, q, f = generate_instance(params)
         instance = ProblemInstance(StateSpace.of_size(args.vertices), bounds, q, f, args.steps)
-    except ValueError as exc:
+    except (ValueError, GenerationError) as exc:
         return _fail(str(exc), 2)
     save_instance(args.out, instance)
     pairs = args.vertices * (args.vertices - 1) // 2
@@ -213,36 +200,44 @@ def _experiment_config(args, base: ExperimentConfig) -> ExperimentConfig:
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
-def _run_experiment(args, runner, base: ExperimentConfig) -> int:
+def _run_experiment(args) -> int:
     try:
-        config = _experiment_config(args, base)
+        config = _experiment_config(args, args.base)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
     if args.threads < 1:
         return _fail(f"--threads must be at least 1, got {args.threads}", 2)
-    csv_path, summary_path = runner(config, args.out, threads=args.threads)
+    try:
+        csv_path, summary_path = args.runner(config, args.out, threads=args.threads)
+    except GenerationError as exc:
+        return _fail(str(exc), 2)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
     return 0
 
 
-def cmd_exp_count(args) -> int:
-    return _run_experiment(args, run_extrema_count, ExperimentConfig())
-
-
-def cmd_exp_sweep(args) -> int:
-    base = ExperimentConfig(instances=20, starts=100)
-    return _run_experiment(args, run_sweep_comparison, base)
-
-
-def cmd_exp_scatter(args) -> int:
-    base = ExperimentConfig(cells=((8, 8),), instances=10, starts=300, sense=Sense.MAX)
-    return _run_experiment(args, run_initial_vs_optimized, base)
-
-
-def cmd_exp_dev(args) -> int:
-    base = ExperimentConfig(cells=((8, 8),), instances=30, starts=500)
-    return _run_experiment(args, run_deviation_curves, base)
+#: One row per experiment command: name, runner, default config, help.
+_EXPERIMENTS = (
+    ("exp-count", run_extrema_count, ExperimentConfig(), "census of unique local extrema per instance"),
+    (
+        "exp-sweep",
+        run_sweep_comparison,
+        ExperimentConfig(instances=20, starts=100),
+        "left-to-right vs right-to-left sweep comparison",
+    ),
+    (
+        "exp-scatter",
+        run_initial_vs_optimized,
+        ExperimentConfig(cells=((8, 8),), instances=10, starts=300, sense=Sense.MAX),
+        "initial vs optimized value pairs",
+    ),
+    (
+        "exp-dev",
+        run_deviation_curves,
+        ExperimentConfig(cells=((8, 8),), instances=30, starts=500),
+        "deviation curves with and without local optimization",
+    ),
+)
 
 
 def _add_experiment_args(sub: argparse.ArgumentParser) -> None:
@@ -296,22 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--disconnect-fraction", type=float, default=0.25)
-    p.add_argument("--lower-mean", type=float, default=0.8)
-    p.add_argument("--width-mean", type=float, default=1.0)
-    p.add_argument("--qf-mean", type=float, default=1.5)
-    p.add_argument("--marginal-slack", type=float, default=0.1)
+    for name in _REAL_FIELDS:
+        p.add_argument("--" + name.replace("_", "-"), type=float, default=getattr(GenParams, name))
     p.set_defaults(func=cmd_gen)
 
-    for name, func, blurb in (
-        ("exp-count", cmd_exp_count, "census of unique local extrema per instance"),
-        ("exp-sweep", cmd_exp_sweep, "left-to-right vs right-to-left sweep comparison"),
-        ("exp-scatter", cmd_exp_scatter, "initial vs optimized value pairs"),
-        ("exp-dev", cmd_exp_dev, "deviation curves with and without local optimization"),
-    ):
+    for name, runner, base, blurb in _EXPERIMENTS:
         p = sub.add_parser(name, help=blurb)
         _add_experiment_args(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_run_experiment, runner=runner, base=base)
 
     return parser
 

@@ -17,12 +17,12 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .generate import GenParams, _is_integer, generate_instance
+from .generate import _REAL_FIELDS, GenParams, _is_integer, generate_instance
 from .optimize import OptimizationProblem, Sense, SweepOrder, multistart
 from .optimize import _census_rank, _descents, _random_starts
 from .rng import derive_seed, substream
@@ -65,11 +65,11 @@ class ExperimentConfig:
     seed: int = 0
     sense: Sense = Sense.MIN
     orders: tuple[SweepOrder, ...] = (SweepOrder.LEFT_TO_RIGHT, SweepOrder.RIGHT_TO_LEFT)
-    disconnect_fraction: float = 0.25
-    lower_mean: float = 0.8
-    width_mean: float = 1.0
-    qf_mean: float = 1.5
-    marginal_slack: float = 0.1
+    disconnect_fraction: float = GenParams.disconnect_fraction
+    lower_mean: float = GenParams.lower_mean
+    width_mean: float = GenParams.width_mean
+    qf_mean: float = GenParams.qf_mean
+    marginal_slack: float = GenParams.marginal_slack
 
     def __post_init__(self):
         try:
@@ -93,51 +93,31 @@ class ExperimentConfig:
         if not self.orders:
             raise ValueError("need at least one sweep order")
         object.__setattr__(self, "cells", tuple((int(v), int(n)) for v, n in cells))
-        object.__setattr__(self, "orders", tuple(self.orders))
+        object.__setattr__(self, "orders", tuple(SweepOrder(o) for o in self.orders))
 
     def gen_params(self, vertices: int, seed: int) -> GenParams:
-        return GenParams(
-            s=vertices,
-            disconnect_fraction=self.disconnect_fraction,
-            lower_mean=self.lower_mean,
-            width_mean=self.width_mean,
-            qf_mean=self.qf_mean,
-            marginal_slack=self.marginal_slack,
-            seed=seed,
-        )
+        return GenParams(vertices, seed=seed, **{name: getattr(self, name) for name in _REAL_FIELDS})
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "cells": [list(cell) for cell in config.cells],
-        "instances": config.instances,
-        "starts": config.starts,
-        "seed": config.seed,
-        "sense": config.sense.value,
-        "orders": [o.value for o in config.orders],
-        "disconnect_fraction": config.disconnect_fraction,
-        "lower_mean": config.lower_mean,
-        "width_mean": config.width_mean,
-        "qf_mean": config.qf_mean,
-        "marginal_slack": config.marginal_slack,
-    }
+    data = asdict(config)
+    data["sense"] = config.sense.value
+    data["orders"] = [o.value for o in config.orders]
+    return data
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON document; unknown keys are rejected."""
     if not isinstance(data, dict):
         raise ValueError("experiment config must be a JSON object")
-    known = set(config_to_dict(ExperimentConfig()))
-    unknown = set(data) - known
+    unknown = set(data) - {field.name for field in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config fields: {', '.join(sorted(unknown))}")
     kwargs = dict(data)
     if "sense" in kwargs:
         kwargs["sense"] = Sense(kwargs["sense"])
-    if "orders" in kwargs:
-        if not isinstance(kwargs["orders"], list):
-            raise ValueError(f"orders must be a list of sweep orders, got {kwargs['orders']!r}")
-        kwargs["orders"] = tuple(SweepOrder(o) for o in kwargs["orders"])
+    if "orders" in kwargs and not isinstance(kwargs["orders"], list):
+        raise ValueError(f"orders must be a list of sweep orders, got {kwargs['orders']!r}")
     return ExperimentConfig(**kwargs)
 
 
@@ -149,15 +129,22 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_outputs(
+    out_dir, name: str, header: list[str], rows, config: ExperimentConfig, **summary
+) -> tuple[Path, Path]:
+    """Create `out_dir` and write `<name>.csv` and `<name>_summary.json`, the
+    summary led by the config echo; returns both paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{name}.csv"
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _write_summary(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    summary_path = out_dir / f"{name}_summary.json"
+    payload = {"config": config_to_dict(config), **summary}
+    summary_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return csv_path, summary_path
 
 
 def _map_tasks(func, tasks, threads: int):
@@ -168,13 +155,11 @@ def _map_tasks(func, tasks, threads: int):
         return list(pool.map(func, tasks))
 
 
-def _run_grid(task, config: ExperimentConfig, out_dir, threads: int):
-    """Create `out_dir` and map `task` over every (config, cell, instance) of
-    the grid, in grid order; returns the directory and the task results."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _run_grid(task, config: ExperimentConfig, threads: int):
+    """Map `task` over every (config, cell, instance) of the grid, in grid
+    order; returns the task results."""
     tasks = [(config, ci, inst) for ci in range(len(config.cells)) for inst in range(config.instances)]
-    return out_dir, _map_tasks(task, tasks, threads)
+    return _map_tasks(task, tasks, threads)
 
 
 def _instance_for(config, exp_id, ci, inst):
@@ -205,7 +190,7 @@ def run_extrema_count(config: ExperimentConfig, out_dir, threads: int = 1) -> tu
     unique_local_maxima.  After each cell's instances one summary row with
     instance_id = "mean" carries the per-cell sample means.
     """
-    out_dir, results = _run_grid(_count_task, config, out_dir, threads)
+    results = _run_grid(_count_task, config, threads)
 
     rows = []
     cell_stats = []
@@ -230,15 +215,14 @@ def run_extrema_count(config: ExperimentConfig, out_dir, threads: int = 1) -> tu
             }
         )
 
-    csv_path = out_dir / "extrema_counts.csv"
-    _write_csv(
-        csv_path,
+    return _write_outputs(
+        out_dir,
+        "extrema_counts",
         ["vertices", "steps", "instance_id", "unique_local_minima", "unique_local_maxima"],
         rows,
+        config,
+        cells=cell_stats,
     )
-    summary_path = out_dir / "extrema_counts_summary.json"
-    _write_summary(summary_path, {"config": config_to_dict(config), "cells": cell_stats})
-    return csv_path, summary_path
 
 
 # --- sweep-order comparison ---------------------------------------------------
@@ -280,7 +264,7 @@ def run_sweep_comparison(config: ExperimentConfig, out_dir, threads: int = 1) ->
     per-instance fraction of starts whose two descents reached different
     extrema, repeated on each of its rows).
     """
-    out_dir, results = _run_grid(_sweep_task, config, out_dir, threads)
+    results = _run_grid(_sweep_task, config, threads)
 
     rows = []
     disagreement_stats = []
@@ -293,18 +277,13 @@ def run_sweep_comparison(config: ExperimentConfig, out_dir, threads: int = 1) ->
                 "vertices": vertices,
                 "steps": steps,
                 "instance_id": inst,
-                "disagreement_fraction": {
-                    sense: fraction
-                    for sense, _, _, _, fraction in entries
-                }
-                if entries
-                else {},
+                "disagreement_fraction": {sense: fraction for sense, _, _, _, fraction in entries},
             }
         )
 
-    csv_path = out_dir / "sweep_comparison.csv"
-    _write_csv(
-        csv_path,
+    return _write_outputs(
+        out_dir,
+        "sweep_comparison",
         [
             "vertices",
             "steps",
@@ -316,13 +295,9 @@ def run_sweep_comparison(config: ExperimentConfig, out_dir, threads: int = 1) ->
             "order_disagreement_fraction",
         ],
         rows,
+        config,
+        instances=disagreement_stats,
     )
-    summary_path = out_dir / "sweep_comparison_summary.json"
-    _write_summary(
-        summary_path,
-        {"config": config_to_dict(config), "instances": disagreement_stats},
-    )
-    return csv_path, summary_path
 
 
 # --- initial value vs optimized value -----------------------------------------
@@ -354,7 +329,7 @@ def run_initial_vs_optimized(
     optimized_value.  The run summary records the per-instance sample
     correlation between the two columns (null when degenerate).
     """
-    out_dir, results = _run_grid(_scatter_task, config, out_dir, threads)
+    results = _run_grid(_scatter_task, config, threads)
 
     rows = []
     correlations = []
@@ -371,18 +346,14 @@ def run_initial_vs_optimized(
             {"vertices": vertices, "steps": steps, "instance_id": inst, "correlation": r}
         )
 
-    csv_path = out_dir / "initial_vs_optimized.csv"
-    _write_csv(
-        csv_path,
+    return _write_outputs(
+        out_dir,
+        "initial_vs_optimized",
         ["vertices", "steps", "instance_id", "start_id", "start_value", "optimized_value"],
         rows,
+        config,
+        instances=correlations,
     )
-    summary_path = out_dir / "initial_vs_optimized_summary.json"
-    _write_summary(
-        summary_path,
-        {"config": config_to_dict(config), "instances": correlations},
-    )
-    return csv_path, summary_path
 
 
 # --- deviation curves ----------------------------------------------------------
@@ -396,18 +367,12 @@ def _deviation_task(args):
     start_values, optimized_values = np.array(list(pairs)).T
 
     shuffle = substream(config.seed, _EXP_DEV, _ROLE_SHUFFLE, ci, inst).permutation(config.starts)
-    if config.sense is Sense.MIN:
-        best = float(optimized_values.min())
-        running_opt = np.minimum.accumulate(optimized_values[shuffle])
-        running_rand = np.minimum.accumulate(start_values[shuffle])
-        dev_opt = (running_opt - best) / best * 100.0
-        dev_rand = (running_rand - best) / best * 100.0
-    else:
-        best = float(optimized_values.max())
-        running_opt = np.maximum.accumulate(optimized_values[shuffle])
-        running_rand = np.maximum.accumulate(start_values[shuffle])
-        dev_opt = (best - running_opt) / best * 100.0
-        dev_rand = (best - running_rand) / best * 100.0
+    # minimize sign * value; negation is exact, so MAX gives the same bits
+    sign = 1.0 if config.sense is Sense.MIN else -1.0
+    low = (sign * optimized_values).min()
+    best = float(sign * low)
+    dev_opt = (np.minimum.accumulate(sign * optimized_values[shuffle]) - low) / best * 100.0
+    dev_rand = (np.minimum.accumulate(sign * start_values[shuffle]) - low) / best * 100.0
     return ci, inst, best, dev_opt, dev_rand
 
 
@@ -422,7 +387,7 @@ def run_deviation_curves(config: ExperimentConfig, out_dir, threads: int = 1) ->
     max_rel_dev_optimized, max_rel_dev_random, aggregated over all parameter
     sets (cells x instances).
     """
-    out_dir, results = _run_grid(_deviation_task, config, out_dir, threads)
+    results = _run_grid(_deviation_task, config, threads)
 
     dev_opt = np.vstack([r[3] for r in results])
     dev_rand = np.vstack([r[4] for r in results])
@@ -437,9 +402,9 @@ def run_deviation_curves(config: ExperimentConfig, out_dir, threads: int = 1) ->
         for m in range(config.starts)
     ]
 
-    csv_path = out_dir / "deviation_curves.csv"
-    _write_csv(
-        csv_path,
+    return _write_outputs(
+        out_dir,
+        "deviation_curves",
         [
             "sample_size",
             "avg_rel_dev_optimized",
@@ -448,22 +413,15 @@ def run_deviation_curves(config: ExperimentConfig, out_dir, threads: int = 1) ->
             "max_rel_dev_random",
         ],
         rows,
+        config,
+        parameter_sets=len(results),
+        best_values=[
+            {
+                "vertices": config.cells[ci][0],
+                "steps": config.cells[ci][1],
+                "instance_id": inst,
+                "best_value": best,
+            }
+            for ci, inst, best, _, _ in results
+        ],
     )
-    summary_path = out_dir / "deviation_curves_summary.json"
-    _write_summary(
-        summary_path,
-        {
-            "config": config_to_dict(config),
-            "parameter_sets": len(results),
-            "best_values": [
-                {
-                    "vertices": config.cells[ci][0],
-                    "steps": config.cells[ci][1],
-                    "instance_id": inst,
-                    "best_value": best,
-                }
-                for ci, inst, best, _, _ in results
-            ],
-        },
-    )
-    return csv_path, summary_path

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .generate import _is_integer
 from .graph import IntervalBounds, StateSpace
 from .optimize import OptimizationProblem, Sense
 
@@ -37,7 +38,11 @@ class ProblemInstance:
         f = np.array(self.f, dtype=float)
         if q.shape != (self.bounds.size,) or f.shape != (self.bounds.size,):
             raise ValueError("q and f must have one entry per state")
-        if int(self.steps) < 0:
+        if not (np.isfinite(q).all() and np.isfinite(f).all()):
+            raise ValueError("q and f must be finite")
+        if not _is_integer(self.steps):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
+        if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         q.setflags(write=False)
         f.setflags(write=False)
@@ -75,11 +80,10 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         marginal = np.array(data["marginal"], dtype=float)
         q = np.array(data["q"], dtype=float)
         f = np.array(data["f"], dtype=float)
-        steps = int(data["steps"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
     bounds = IntervalBounds(lower, upper, marginal)
-    return ProblemInstance(states, bounds, q, f, steps)
+    return ProblemInstance(states, bounds, q, f, data["steps"])
 
 
 def save_instance(path, instance: ProblemInstance) -> None:

@@ -167,8 +167,10 @@ def _descend(problem, mats, masks, order) -> LocalOptimum:
 
     if order is SweepOrder.LEFT_TO_RIGHT:
         steps, rebuild, advance = range(n), pull, push
-    else:
+    elif order is SweepOrder.RIGHT_TO_LEFT:
         steps, rebuild, advance = range(n - 1, -1, -1), push, pull
+    else:
+        raise ValueError(f"order must be a SweepOrder, got {order!r}")
 
     def candidate(ql, fr):
         mask = _gradient_upper_mask(bounds, ql / marg, fr)

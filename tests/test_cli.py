@@ -2,9 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from intervalwalk import ProblemInstance, StateSpace, save_instance
+from intervalwalk import (
+    GenParams,
+    ProblemInstance,
+    StateSpace,
+    generate_instance,
+    load_instance,
+    save_instance,
+)
 from intervalwalk.cli import main
 
 
@@ -100,6 +108,15 @@ class TestBoundsCommand:
         assert "--seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_steps_exit_two(self, example_file, tmp_path, capsys):
+        doc = json.loads(example_file.read_text())
+        doc["steps"] = 2.5
+        example_file.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "record.json"
+        assert main(["bounds", str(example_file), "--out", str(out)]) == 2
+        assert "error: steps must be an integer, got 2.5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_exact_bounds(self, example_file, tmp_path, capsys):
@@ -140,6 +157,11 @@ class TestGenCommand:
             pytest.param(
                 ["--vertices", "4", "--seed", "-1"], "seed must be non-negative, got -1", id="negative-seed"
             ),
+            pytest.param(
+                ["--vertices", "8", "--disconnect-fraction", "0.999"],
+                "no connected adjacency on 8 vertices",
+                id="disconnect-fraction-unreachable",
+            ),
         ],
     )
     def test_bad_arguments_exit_two(self, tmp_path, capsys, flags, message):
@@ -147,6 +169,22 @@ class TestGenCommand:
         assert main(["gen", *flags, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_generator_flags_reach_params(self, tmp_path):
+        out = tmp_path / "g.json"
+        flags = ["--disconnect-fraction", "0.4", "--lower-mean", "0.5", "--width-mean", "2.0"]
+        flags += ["--qf-mean", "0.7", "--marginal-slack", "0.3"]
+        assert main(["gen", "--vertices", "7", "--seed", "4", *flags, "--out", str(out)]) == 0
+        params = GenParams(
+            7, disconnect_fraction=0.4, lower_mean=0.5, width_mean=2.0, qf_mean=0.7, marginal_slack=0.3, seed=4
+        )
+        bounds, q, f = generate_instance(params)
+        loaded = load_instance(out)
+        np.testing.assert_array_equal(loaded.bounds.lower, bounds.lower)
+        np.testing.assert_array_equal(loaded.bounds.upper, bounds.upper)
+        np.testing.assert_array_equal(loaded.bounds.marginal, bounds.marginal)
+        np.testing.assert_array_equal(loaded.q, q)
+        np.testing.assert_array_equal(loaded.f, f)
 
 
 class TestExperimentCommands:
@@ -206,6 +244,12 @@ class TestExperimentCommands:
             ),
             pytest.param(
                 {}, ["--cells", "4"], "bad --cells entry '4': expected VERTICESxSTEPS", id="cells-flag"
+            ),
+            pytest.param(
+                {"disconnect_fraction": 0.999, "cells": [[8, 2]], "instances": 1, "starts": 2},
+                [],
+                "no connected adjacency on 8 vertices",
+                id="disconnect-fraction-unreachable",
             ),
         ],
     )

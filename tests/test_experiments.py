@@ -36,6 +36,25 @@ class TestConfig:
         config = small_config(sense=Sense.MAX, orders=(SweepOrder.RIGHT_TO_LEFT,))
         assert config_from_dict(config_to_dict(config)) == config
 
+    def test_string_orders_are_converted(self):
+        config = ExperimentConfig(orders=("left-to-right",))
+        assert config == ExperimentConfig(orders=(SweepOrder.LEFT_TO_RIGHT,))
+        assert config.orders[0] is SweepOrder.LEFT_TO_RIGHT
+
+    def test_unknown_order_rejected(self):
+        with pytest.raises(ValueError, match="sideways"):
+            ExperimentConfig(orders=("sideways",))
+
+    def test_echo_is_pinned(self):
+        # the summary's config echo: every field, in declaration order
+        config = ExperimentConfig(sense=Sense.MAX, orders=(SweepOrder.RIGHT_TO_LEFT,), lower_mean=0.5)
+        assert json.dumps(config_to_dict(config)) == (
+            '{"cells": [[4, 2], [4, 4], [4, 6], [6, 2], [6, 4], [6, 6], [8, 2], [8, 4], [8, 6]], '
+            '"instances": 50, "starts": 300, "seed": 0, "sense": "max", '
+            '"orders": ["right-to-left"], "disconnect_fraction": 0.25, "lower_mean": 0.5, '
+            '"width_mean": 1.0, "qf_mean": 1.5, "marginal_slack": 0.1}'
+        )
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             config_from_dict({"instancess": 3})

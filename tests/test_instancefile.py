@@ -91,6 +91,23 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError):
             instance_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            pytest.param("steps", 2.5, "steps must be an integer, got 2.5", id="steps-float"),
+            pytest.param("steps", True, "steps must be an integer, got True", id="steps-bool"),
+            pytest.param("q", [float("nan"), 0.0], "q and f must be finite", id="q-nan"),
+            pytest.param("f", [0.0, float("inf")], "q and f must be finite", id="f-inf"),
+        ],
+    )
+    def test_non_integer_steps_and_non_finite_vectors(self, two_state, tmp_path, field, value, message):
+        data = instance_to_dict(example_instance(two_state))
+        data[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_instance(path)
+
     def test_problem_factory(self, two_state):
         inst = example_instance(two_state)
         problem = inst.problem()

@@ -131,6 +131,12 @@ class TestLocalOptimize:
         with pytest.raises(ValueError):
             local_optimize(problem, (two_state.w_up,))
 
+    def test_string_order_rejected(self, two_state):
+        # a plain string must not silently run the right-to-left sweep
+        problem = two_state_problem(two_state)
+        with pytest.raises(ValueError, match="'left-to-right'"):
+            local_optimize(problem, (two_state.w_up, two_state.w_lo), "left-to-right")
+
     def test_matches_naive_reference_sweep(self):
         rng = np.random.default_rng(23)
         for seed in range(15):
@@ -233,6 +239,10 @@ class TestMultistart:
     def test_rejects_zero_starts(self, two_state):
         with pytest.raises(ValueError):
             multistart(two_state_problem(two_state), 0, seed=0)
+
+    def test_string_order_rejected(self, two_state):
+        with pytest.raises(ValueError, match="'left-to-right'"):
+            multistart(two_state_problem(two_state), 4, seed=0, order="left-to-right")
 
 
 class TestDescents:
