@@ -35,6 +35,20 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _cannot_write(path, exc: OSError) -> int:
+    return _fail(f"cannot write {path}: {exc.strerror or exc}", 2)
+
+
+def _write_record(path, payload: dict) -> int:
+    """Write `payload` to `path` as indented JSON; exit 2 when it cannot be written."""
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(path, exc)
+    print(f"wrote {path}")
+    return 0
+
+
 def _load(path: str) -> ProblemInstance:
     try:
         return load_instance(path)
@@ -113,8 +127,7 @@ def cmd_bounds(args) -> int:
             "steps": instance.steps,
             "results": results,
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        return _write_record(args.out, payload)
     return 0
 
 
@@ -143,8 +156,7 @@ def cmd_oracle(args) -> int:
             "argmin": [_schedule_json(labels, sched) for sched in result.argmin],
             "argmax": [_schedule_json(labels, sched) for sched in result.argmax],
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        return _write_record(args.out, payload)
     return 0
 
 
@@ -156,7 +168,10 @@ def cmd_gen(args) -> int:
         instance = ProblemInstance(StateSpace.of_size(args.vertices), bounds, q, f, args.steps)
     except (ValueError, GenerationError) as exc:
         return _fail(str(exc), 2)
-    save_instance(args.out, instance)
+    try:
+        save_instance(args.out, instance)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     pairs = args.vertices * (args.vertices - 1) // 2
     edges = int(np.count_nonzero(bounds.upper) // 2)
     print(f"wrote {args.out}")
@@ -184,19 +199,12 @@ def _parse_cells(text: str) -> tuple[tuple[int, int], ...]:
 
 def _experiment_config(args, base: ExperimentConfig) -> ExperimentConfig:
     config = load_config(args.config) if args.config else base
-    overrides = {}
-    if args.cells is not None:
-        overrides["cells"] = _parse_cells(args.cells)
-    if args.instances is not None:
-        overrides["instances"] = args.instances
-    if args.starts is not None:
-        overrides["starts"] = args.starts
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.sense is not None:
-        overrides["sense"] = Sense(args.sense)
-    if args.strategy is not None:
-        overrides["orders"] = (SweepOrder(args.strategy),)
+    cells = None if args.cells is None else _parse_cells(args.cells)
+    # ExperimentConfig converts the sense and order strings itself
+    flags = dict(
+        cells=cells, instances=args.instances, starts=args.starts, seed=args.seed, sense=args.sense, order=args.strategy
+    )
+    overrides = {name: value for name, value in flags.items() if value is not None}
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
@@ -211,6 +219,8 @@ def _run_experiment(args) -> int:
         csv_path, summary_path = args.runner(config, args.out, threads=args.threads)
     except GenerationError as exc:
         return _fail(str(exc), 2)
+    except OSError as exc:
+        return _cannot_write(exc.filename or args.out, exc)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
     return 0
@@ -240,18 +250,19 @@ _EXPERIMENTS = (
 )
 
 
-def _add_experiment_args(sub: argparse.ArgumentParser) -> None:
+def _add_strategy(sub: argparse.ArgumentParser, **kwargs) -> None:
+    sub.add_argument("--strategy", choices=[o.value for o in SweepOrder], **kwargs)
+
+
+def _add_experiment_args(sub: argparse.ArgumentParser, strategy: bool) -> None:
     sub.add_argument("--config", help="JSON experiment config file")
     sub.add_argument("--cells", help="grid cells as VERTICESxSTEPS[,...], e.g. 4x2,6x4")
     sub.add_argument("--instances", type=int, help="instances per cell")
     sub.add_argument("--starts", type=int, help="starts per instance")
     sub.add_argument("--seed", type=int, help="master seed")
     sub.add_argument("--sense", choices=["min", "max"], help="optimization sense")
-    sub.add_argument(
-        "--strategy",
-        choices=[o.value for o in SweepOrder],
-        help="sweep order for the local optimizer",
-    )
+    if strategy:
+        _add_strategy(sub, help="sweep order for the local optimizer")
     sub.add_argument("--out", default="results", help="output directory")
     sub.add_argument("--threads", type=int, default=1, help="worker processes, at most the CPU count")
 
@@ -271,11 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--starts", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--strategy",
-        choices=[o.value for o in SweepOrder],
-        default=SweepOrder.LEFT_TO_RIGHT.value,
-    )
+    _add_strategy(p, default=SweepOrder.LEFT_TO_RIGHT.value)
     p.add_argument("--sense", choices=["min", "max", "both"], default="both")
     p.add_argument("--out", help="write a machine-readable JSON result record")
     p.set_defaults(func=cmd_bounds)
@@ -297,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, runner, base, blurb in _EXPERIMENTS:
         p = sub.add_parser(name, help=blurb)
-        _add_experiment_args(p)
-        p.set_defaults(func=_run_experiment, runner=runner, base=base)
+        # the sweep comparison always runs both orders
+        _add_experiment_args(p, strategy=runner is not run_sweep_comparison)
+        p.set_defaults(func=_run_experiment, runner=runner, base=base, strategy=None)
 
     return parser
 

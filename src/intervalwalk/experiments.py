@@ -56,7 +56,8 @@ class ExperimentConfig:
 
     `cells` lists (vertices, steps) pairs; `instances` random instances are
     generated per cell and `starts` random extremal schedules are optimized
-    per instance.  The remaining fields mirror the instance generator.
+    per instance, descending in `order` (the sweep comparison runs both
+    orders).  The remaining fields mirror the instance generator.
     """
 
     cells: tuple[tuple[int, int], ...] = _DEFAULT_CELLS
@@ -64,7 +65,7 @@ class ExperimentConfig:
     starts: int = 300
     seed: int = 0
     sense: Sense = Sense.MIN
-    orders: tuple[SweepOrder, ...] = (SweepOrder.LEFT_TO_RIGHT, SweepOrder.RIGHT_TO_LEFT)
+    order: SweepOrder = SweepOrder.LEFT_TO_RIGHT
     disconnect_fraction: float = GenParams.disconnect_fraction
     lower_mean: float = GenParams.lower_mean
     width_mean: float = GenParams.width_mean
@@ -90,10 +91,9 @@ class ExperimentConfig:
             raise ValueError("instances and starts must be at least 1")
         # the generator fields and the seed obey GenParams' rules
         self.gen_params(cells[0][0], self.seed)
-        if not self.orders:
-            raise ValueError("need at least one sweep order")
         object.__setattr__(self, "cells", tuple((int(v), int(n)) for v, n in cells))
-        object.__setattr__(self, "orders", tuple(SweepOrder(o) for o in self.orders))
+        object.__setattr__(self, "sense", Sense(self.sense))
+        object.__setattr__(self, "order", SweepOrder(self.order))
 
     def gen_params(self, vertices: int, seed: int) -> GenParams:
         return GenParams(vertices, seed=seed, **{name: getattr(self, name) for name in _REAL_FIELDS})
@@ -102,7 +102,7 @@ class ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     data = asdict(config)
     data["sense"] = config.sense.value
-    data["orders"] = [o.value for o in config.orders]
+    data["order"] = config.order.value
     return data
 
 
@@ -110,15 +110,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON document; unknown keys are rejected."""
     if not isinstance(data, dict):
         raise ValueError("experiment config must be a JSON object")
+    if "orders" in data:
+        raise ValueError('config field "orders" is now "order", a single sweep order')
     unknown = set(data) - {field.name for field in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config fields: {', '.join(sorted(unknown))}")
-    kwargs = dict(data)
-    if "sense" in kwargs:
-        kwargs["sense"] = Sense(kwargs["sense"])
-    if "orders" in kwargs and not isinstance(kwargs["orders"], list):
-        raise ValueError(f"orders must be a list of sweep orders, got {kwargs['orders']!r}")
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**data)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -179,7 +176,7 @@ def _count_task(args):
     for sense, role in _SENSE_ROLES.items():
         problem = OptimizationProblem(bounds, q, f, steps, sense)
         seed = derive_seed(config.seed, _EXP_COUNT, role, ci, inst)
-        counts.append(len(multistart(problem, config.starts, seed, config.orders[0]).unique_extrema))
+        counts.append(len(multistart(problem, config.starts, seed, config.order).unique_extrema))
     return ci, inst, *counts
 
 
@@ -236,17 +233,16 @@ def _sweep_task(args):
         problem = OptimizationProblem(bounds, q, f, steps, sense)
         seed = derive_seed(config.seed, _EXP_SWEEP, role, ci, inst)
         starts = list(_random_starts(problem, config.starts, seed))
-        census: dict[tuple, list] = {}
+        census: dict[bytes, list] = {}
         disagreements = 0
-        for run_lr, run_rl in zip(
+        for runs in zip(
             _descents(problem, starts, SweepOrder.LEFT_TO_RIGHT),
             _descents(problem, starts, SweepOrder.RIGHT_TO_LEFT),
         ):
-            if run_lr.selections != run_rl.selections:
-                disagreements += 1
-            for column, run in ((0, run_lr), (1, run_rl)):
-                entry = census.setdefault(run.selections, [run.value, 0, 0])
-                entry[1 + column] += 1
+            keys = [run.masks.tobytes() for run in runs]
+            disagreements += keys[0] != keys[1]
+            for column, (key, run) in enumerate(zip(keys, runs)):
+                census.setdefault(key, [run.value, 0, 0])[1 + column] += 1
         ordered = sorted(census.items(), key=lambda item: _census_rank(item[0], item[1][0], sense))
         fraction = disagreements / config.starts
         for _, (value, hits_lr, hits_rl) in ordered:
@@ -310,7 +306,7 @@ def _value_pairs(config, exp_id, ci, inst):
     bounds, q, f, steps = _instance_for(config, exp_id, ci, inst)
     problem = OptimizationProblem(bounds, q, f, steps, config.sense)
     seed = derive_seed(config.seed, exp_id, _SENSE_ROLES[config.sense], ci, inst)
-    runs = _descents(problem, _random_starts(problem, config.starts, seed), config.orders[0])
+    runs = _descents(problem, _random_starts(problem, config.starts, seed), config.order)
     return problem, ((run.start_value, run.value) for run in runs)
 
 

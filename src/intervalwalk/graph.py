@@ -439,6 +439,12 @@ def _transitions_from_masks(bounds: IntervalBounds, masks: np.ndarray) -> np.nda
     return m
 
 
+def _selections_from_masks(bounds: IntervalBounds, masks: np.ndarray) -> tuple[EdgeSelection, ...]:
+    """The per-step selections of an (n, e) endpoint mask array; the engine
+    works on masks and builds selections only for what it reports."""
+    return tuple(EdgeSelection.from_upper_mask(bounds, m) for m in masks)
+
+
 def weight_matrix_from_mask(bounds: IntervalBounds, upper_mask) -> np.ndarray:
     """Full weight matrix (loops included) for one endpoint mask over the free
     edges: the upper endpoint where the mask is True, the lower one elsewhere."""

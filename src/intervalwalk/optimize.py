@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .graph import (
     WeightFunction,
     _extremal_masks,
     _gradient_upper_mask,
+    _selections_from_masks,
     _transitions_from_masks,
-    one_step_minimizer,
     selection_of,
     weight_from_selection,
 )
@@ -89,6 +89,22 @@ class LocalOptimum:
         return tuple(weight_from_selection(bounds, sel) for sel in self.selections)
 
 
+class _Descent(NamedTuple):
+    """A fixed point as the engine keeps it: (n, e) endpoint masks, then the rest of `LocalOptimum`."""
+
+    masks: np.ndarray
+    value: float
+    start_value: float
+    sweeps: int
+    improvements: int
+    trace: tuple[float, ...]
+
+
+def _local_optimum(bounds: IntervalBounds, run: _Descent) -> LocalOptimum:
+    """The reported form of a descent, its masks turned into selections."""
+    return LocalOptimum(_selections_from_masks(bounds, run.masks), *run[1:])
+
+
 @dataclass(frozen=True)
 class MultistartReport:
     """Aggregate of many local descents: the best fixed point plus a census
@@ -127,19 +143,26 @@ def improve_at(
     if not 0 <= k < problem.n:
         raise IndexError(f"step index {k} out of range for {problem.n} steps")
     bounds = problem.bounds
-    f_eff = problem.f if problem.sense is Sense.MIN else -problem.f
     ql = problem.q
     for w in schedule[:k]:
         ql = forward_step(bounds, ql, w)
-    fr = f_eff
+    fr = problem.f if problem.sense is Sense.MIN else -problem.f
     for w in reversed(schedule[k + 1 :]):
         fr = backward_step(bounds, w, fr)
-    replacement, _ = one_step_minimizer(bounds, ql, fr)
-    value = float(ql @ (transition_matrix(bounds, replacement) @ fr))
+    mask, _, value = _candidate(bounds, ql, fr)
+    replacement = weight_from_selection(bounds, EdgeSelection.from_upper_mask(bounds, mask))
     return replacement, (value if problem.sense is Sense.MIN else -value)
 
 
-def _descend(problem, mats, masks, order) -> LocalOptimum:
+def _candidate(bounds, ql, fr):
+    """Endpoint mask, transition matrix and value <ql, P fr> of the best step
+    between prefix mass `ql` and suffix payoff `fr`."""
+    mask = _gradient_upper_mask(bounds, ql / bounds.marginal, fr)
+    mat = _transitions_from_masks(bounds, mask)
+    return mask, mat, float(ql @ (mat @ fr))
+
+
+def _descend(problem, mats, masks, order) -> _Descent:
     """Sweep single-step replacements until a full pass changes nothing.
 
     Minimizes <q, P_1 ... P_n f>, with f negated for MAX problems, and
@@ -155,7 +178,6 @@ def _descend(problem, mats, masks, order) -> LocalOptimum:
     q = problem.q
     f = problem.f if problem.sense is Sense.MIN else -problem.f
     n = len(mats)
-    marg = bounds.marginal
     prefix = [q] * (n + 1)
     suffix = [f] * (n + 1)
 
@@ -171,10 +193,6 @@ def _descend(problem, mats, masks, order) -> LocalOptimum:
         steps, rebuild, advance = range(n - 1, -1, -1), push, pull
     else:
         raise ValueError(f"order must be a SweepOrder, got {order!r}")
-
-    def candidate(ql, fr):
-        mask = _gradient_upper_mask(bounds, ql / marg, fr)
-        return mask, _transitions_from_masks(bounds, mask)
 
     def fold_value():
         g = f
@@ -194,8 +212,7 @@ def _descend(problem, mats, masks, order) -> LocalOptimum:
             rebuild(k)
         for k in steps:
             ql, fr = prefix[k], suffix[k + 1]
-            mask, mat = candidate(ql, fr)
-            v_new = float(ql @ (mat @ fr))
+            mask, mat, v_new = _candidate(bounds, ql, fr)
             threshold = TOL * max(1.0, abs(value))
             if v_new < value - threshold:
                 mats[k], masks[k] = mat, mask
@@ -216,11 +233,10 @@ def _descend(problem, mats, masks, order) -> LocalOptimum:
     for k, mask in enumerate(masks):
         if mask is None:
             raise RuntimeError(f"step {k} could not be pinned to an extremal function")
-    selections = tuple(EdgeSelection.from_upper_mask(bounds, m) for m in masks)
     if problem.sense is Sense.MAX:
         value = -value
         trace = [-v for v in trace]
-    return LocalOptimum(selections, value, trace[0], sweeps, improvements, tuple(trace))
+    return _Descent(np.array(masks), value, trace[0], sweeps, improvements, tuple(trace))
 
 
 def local_optimize(
@@ -245,7 +261,7 @@ def local_optimize(
     for w in start:
         sel = selection_of(bounds, w)
         masks.append(None if sel is None else sel.upper_mask())
-    return _descend(problem, mats, masks, order)
+    return _local_optimum(bounds, _descend(problem, mats, masks, order))
 
 
 def _random_upper_masks(bounds: IntervalBounds, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -274,33 +290,25 @@ def random_extremal_schedule(
     """
     rng = seed if isinstance(seed, np.random.Generator) else rngmod.substream(seed)
     masks = _random_upper_masks(bounds, n, rng)
-    return tuple(
-        weight_from_selection(bounds, EdgeSelection.from_upper_mask(bounds, m)) for m in masks
-    )
+    return tuple(weight_from_selection(bounds, sel) for sel in _selections_from_masks(bounds, masks))
 
 
-def selection_sort_key(selections: Sequence[EdgeSelection]) -> tuple:
-    """Canonical ordering key for a per-step selection schedule."""
-    return tuple(tuple(int(c) for c in sel.choices) for sel in selections)
+def _census_rank(key: bytes, value: float, sense: Sense) -> tuple:
+    """Census order: best value first in the problem's sense, ties by mask bytes,
+    which sort like the per-step choices (LOWER first, first step most significant)."""
+    return (-value if sense is Sense.MAX else value, key)
 
 
-def _census_rank(selections, value, sense) -> tuple:
-    """Census order: best value first in the problem's sense, ties by selection."""
-    return (-value if sense is Sense.MAX else value, selection_sort_key(selections))
-
-
-def _aggregate(runs, starts, seed, sense) -> MultistartReport:
-    census: dict[tuple, tuple[LocalOptimum, int]] = {}
+def _aggregate(problem, runs, starts, seed) -> MultistartReport:
+    """Census of the descents by mask bytes; `best` is the first run to reach
+    the best key.  Selections are built once per distinct fixed point."""
+    census: dict[bytes, list] = {}
     for run in runs:
-        key = run.selections
-        if key in census:
-            first, hits = census[key]
-            census[key] = (first, hits + 1)
-        else:
-            census[key] = (run, 1)
-    ordered = sorted(census.items(), key=lambda item: _census_rank(item[0], item[1][0].value, sense))
-    unique = tuple((key, run.value, hits) for key, (run, hits) in ordered)
-    best = ordered[0][1][0]
+        census.setdefault(run.masks.tobytes(), [run, 0])[1] += 1
+    ordered = sorted(census.items(), key=lambda item: _census_rank(item[0], item[1][0].value, problem.sense))
+    bounds = problem.bounds
+    unique = tuple((_selections_from_masks(bounds, run.masks), run.value, hits) for _, (run, hits) in ordered)
+    best = _local_optimum(bounds, ordered[0][1][0])
     return MultistartReport(best, unique, starts, seed)
 
 
@@ -313,7 +321,7 @@ def _random_starts(problem, starts, seed):
 
 
 def _descents(problem, start_masks, order):
-    """Lazily, the local optimum reached from each (n, e) start mask array."""
+    """Lazily, the `_Descent` reached from each (n, e) start mask array."""
     for masks in start_masks:
         mats = list(_transitions_from_masks(problem.bounds, masks))
         yield _descend(problem, mats, list(masks), order)
@@ -333,7 +341,7 @@ def multistart(
     if starts < 1:
         raise ValueError("need at least one start")
     runs = _descents(problem, _random_starts(problem, starts, seed), order)
-    return _aggregate(runs, starts, seed, problem.sense)
+    return _aggregate(problem, runs, starts, seed)
 
 
 def multistart_exhaustive(
@@ -359,4 +367,4 @@ def multistart_exhaustive(
     table = _extremal_masks(e)
     combos = itertools.product(range(len(table)), repeat=problem.n)
     runs = _descents(problem, (table[list(combo)] for combo in combos), order)
-    return _aggregate(runs, total, None, problem.sense)
+    return _aggregate(problem, runs, total, None)

@@ -18,6 +18,7 @@ from .graph import (
     IntervalBounds,
     WeightFunction,
     _extremal_masks,
+    _selections_from_masks,
     _transitions_from_masks,
     weight_from_selection,
 )
@@ -48,11 +49,8 @@ def enumerate_extremal(
         raise BudgetExceededError(
             f"{e} free edges would enumerate 2^{e} extremal functions, over the cap of 2^{cap}"
         )
-    out = []
-    for mask in _extremal_masks(e):
-        selection = EdgeSelection.from_upper_mask(bounds, mask)
-        out.append((selection, weight_from_selection(bounds, selection)))
-    return out
+    selections = _selections_from_masks(bounds, _extremal_masks(e))
+    return [(sel, weight_from_selection(bounds, sel)) for sel in selections]
 
 
 class _ArgTracker:
@@ -126,21 +124,11 @@ def exact_bounds(
 
     explore(0, q, ())
 
-    selections: dict[int, EdgeSelection] = {}
-
-    def schedule_of(prefix: tuple[int, ...]) -> tuple[EdgeSelection, ...]:
-        out = []
-        for k in prefix:
-            if k not in selections:
-                selections[k] = EdgeSelection.from_upper_mask(bounds, table[k])
-            out.append(selections[k])
-        return tuple(out)
-
     minimum, argmin = mins.result()
     maximum, argmax = maxs.result()
     return ExactBounds(
         minimum,
         maximum,
-        tuple(schedule_of(p) for p in argmin),
-        tuple(schedule_of(p) for p in argmax),
+        tuple(_selections_from_masks(bounds, table[list(p)]) for p in argmin),
+        tuple(_selections_from_masks(bounds, table[list(p)]) for p in argmax),
     )

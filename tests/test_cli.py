@@ -234,7 +234,15 @@ class TestExperimentCommands:
                 "seed must be non-negative, got -1",
                 id="seed-flag-negative",
             ),
-            pytest.param({"orders": 5}, [], "orders must be a list", id="orders-not-a-list"),
+            pytest.param(
+                {"orders": 5}, [], 'config field "orders" is now "order"', id="orders-not-a-list"
+            ),
+            pytest.param(
+                {"order": ["left-to-right"]},
+                [],
+                "['left-to-right'] is not a valid SweepOrder",
+                id="order-is-a-list",
+            ),
             pytest.param({"lower_mean": "x"}, [], "lower_mean must be a finite number", id="lower-mean-x"),
             pytest.param(
                 {"disconnect_fraction": 1.5},
@@ -283,3 +291,33 @@ class TestExperimentCommands:
         assert main([command, *args, "--threads", "2", "--out", str(tmp_path / "c")]) == 0
         a, b, c = ((tmp_path / run / filename).read_bytes() for run in "abc")
         assert a == b == c
+
+    def test_sweep_takes_no_strategy(self, tmp_path, capsys):
+        # the sweep comparison always runs both orders
+        args = ["--cells", "3x2", "--instances", "1", "--starts", "2", "--strategy", "right-to-left"]
+        with pytest.raises(SystemExit) as exc:
+            main(["exp-sweep", *args, "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_strategy_sets_the_order(self, tmp_path):
+        args = ["--cells", "3x2", "--instances", "1", "--starts", "2", "--strategy", "right-to-left"]
+        assert main(["exp-scatter", *args, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "initial_vs_optimized_summary.json").read_text())
+        assert summary["config"]["order"] == "right-to-left"
+
+
+@pytest.mark.parametrize("command", ["bounds", "oracle", "gen", "exp-count"])
+def test_unwritable_out_exits_two(example_file, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = str(blocker / "x.json")
+    argv = {
+        "bounds": ["bounds", str(example_file), "--starts", "4"],
+        "oracle": ["oracle", str(example_file)],
+        "gen": ["gen", "--vertices", "4"],
+        "exp-count": ["exp-count", "--cells", "3x2", "--instances", "1", "--starts", "2"],
+    }[command]
+    assert main([*argv, "--out", out]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err

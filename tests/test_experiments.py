@@ -33,25 +33,25 @@ def read_rows(path):
 
 class TestConfig:
     def test_round_trip(self):
-        config = small_config(sense=Sense.MAX, orders=(SweepOrder.RIGHT_TO_LEFT,))
+        config = small_config(sense=Sense.MAX, order=SweepOrder.RIGHT_TO_LEFT)
         assert config_from_dict(config_to_dict(config)) == config
 
     def test_string_orders_are_converted(self):
-        config = ExperimentConfig(orders=("left-to-right",))
-        assert config == ExperimentConfig(orders=(SweepOrder.LEFT_TO_RIGHT,))
-        assert config.orders[0] is SweepOrder.LEFT_TO_RIGHT
+        config = ExperimentConfig(order="right-to-left")
+        assert config == ExperimentConfig(order=SweepOrder.RIGHT_TO_LEFT)
+        assert config.order is SweepOrder.RIGHT_TO_LEFT
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError, match="sideways"):
-            ExperimentConfig(orders=("sideways",))
+            ExperimentConfig(order="sideways")
 
     def test_echo_is_pinned(self):
         # the summary's config echo: every field, in declaration order
-        config = ExperimentConfig(sense=Sense.MAX, orders=(SweepOrder.RIGHT_TO_LEFT,), lower_mean=0.5)
+        config = ExperimentConfig(sense=Sense.MAX, order=SweepOrder.RIGHT_TO_LEFT, lower_mean=0.5)
         assert json.dumps(config_to_dict(config)) == (
             '{"cells": [[4, 2], [4, 4], [4, 6], [6, 2], [6, 4], [6, 6], [8, 2], [8, 4], [8, 6]], '
             '"instances": 50, "starts": 300, "seed": 0, "sense": "max", '
-            '"orders": ["right-to-left"], "disconnect_fraction": 0.25, "lower_mean": 0.5, '
+            '"order": "right-to-left", "disconnect_fraction": 0.25, "lower_mean": 0.5, '
             '"width_mean": 1.0, "qf_mean": 1.5, "marginal_slack": 0.1}'
         )
 

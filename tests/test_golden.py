@@ -1,0 +1,55 @@
+"""Golden bytes: output files pinned by their sha256.
+
+The digests were recorded before the descent stopped building endpoint
+selections per start.  Any change to a number, to the census order or to the
+file layout shows here; change a digest only together with a documented
+change of the output format.
+"""
+
+import hashlib
+
+import pytest
+
+from intervalwalk.cli import main
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def instance_file(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--vertices", "5", "--steps", "3", "--seed", "7", "--out", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+BOUNDS_DIGESTS = {
+    "left-to-right": "d66802254ddf525d935306322e632f93d50d66d3749986165fdfa4c396069f8c",
+    "right-to-left": "cb77759c63828437d620a48152e4f9848932f44c6f321d2b1fa80f75a345ed1a",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(BOUNDS_DIGESTS))
+def test_bounds_record(instance_file, tmp_path, strategy):
+    out = tmp_path / "record.json"
+    argv = ["bounds", str(instance_file), "--starts", "20", "--seed", "1", "--strategy", strategy]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert sha256(out) == BOUNDS_DIGESTS[strategy]
+
+
+EXPERIMENT_DIGESTS = {
+    "exp-count": ("extrema_counts.csv", "5e0540045cbf39afb63024b73a11cbe8fee14c258ed2f663c8e6955eaca913a5"),
+    "exp-sweep": ("sweep_comparison.csv", "9eb65958d4d02a51ee24439950a9120714491c918c33e26721edd738cb805e34"),
+    "exp-scatter": ("initial_vs_optimized.csv", "b95298c2db44979e37c852a34febb52e0faa3fd0120e92202156f0fbaf72b3e6"),
+    "exp-dev": ("deviation_curves.csv", "b110389669b61854b713c4edfad925001d9da9c34f6d3a34bbf31ad3f929fa2c"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPERIMENT_DIGESTS))
+def test_experiment_csv(tmp_path, command):
+    filename, digest = EXPERIMENT_DIGESTS[command]
+    args = ["--cells", "3x2,4x2", "--instances", "2", "--starts", "5", "--seed", "3"]
+    assert main([command, *args, "--out", str(tmp_path)]) == 0
+    assert sha256(tmp_path / filename) == digest

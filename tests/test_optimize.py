@@ -25,7 +25,7 @@ from intervalwalk import (
     validate,
     weight_from_selection,
 )
-from intervalwalk.optimize import _descents, _random_starts
+from intervalwalk.optimize import _descents, _local_optimum, _random_starts
 from intervalwalk.oracle import BudgetExceededError
 from intervalwalk.rng import substream
 
@@ -244,12 +244,47 @@ class TestMultistart:
         with pytest.raises(ValueError, match="'left-to-right'"):
             multistart(two_state_problem(two_state), 4, seed=0, order="left-to-right")
 
+    @pytest.mark.parametrize("steps", [2, 3, 4])
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_census_order_spec(self, steps, sense):
+        # best value first in the problem's sense, ties by the per-step
+        # choices with LOWER first and the first step most significant
+        def reference_key(entry):
+            sels, value, _ = entry
+            signed = value if sense is Sense.MIN else -value
+            return signed, tuple(tuple(int(c) for c in sel.choices) for sel in sels)
+
+        for seed in range(4):
+            bounds, q, f = generate_instance(GenParams(s=4 + seed % 2, seed=40 + seed))
+            report = multistart(OptimizationProblem(bounds, q, f, steps, sense), 30, seed=seed)
+            assert list(report.unique_extrema) == sorted(report.unique_extrema, key=reference_key)
+            assert len({reference_key(entry)[1] for entry in report.unique_extrema}) == len(
+                report.unique_extrema
+            )
+            assert report.best.selections == report.unique_extrema[0][0]
+
+    def test_selections_built_only_for_census_entries(self, monkeypatch):
+        bounds, q, f = generate_instance(GenParams(s=5, seed=4))
+        problem = OptimizationProblem(bounds, q, f, 3)
+        build = EdgeSelection.from_upper_mask.__func__
+        calls = []
+
+        def counting(cls, bounds, mask):
+            calls.append(mask)
+            return build(cls, bounds, mask)
+
+        monkeypatch.setattr(EdgeSelection, "from_upper_mask", classmethod(counting))
+        report = multistart(problem, 40, seed=2)
+        assert len(report.unique_extrema) < 10
+        assert len(calls) <= (len(report.unique_extrema) + 1) * problem.n
+
 
 class TestDescents:
     @pytest.mark.parametrize("vertices", [3, 4, 5, 6])
     def test_matches_local_optimize_from_sampled_schedules(self, vertices):
-        # the mask path must reach, field for field, what the public
-        # weight-function path reaches from the same sampled start
+        # the mask path, reported through the boundary builder, must reach
+        # field for field what the public weight-function path reaches from
+        # the same sampled start
         bounds, q, f = generate_instance(GenParams(s=vertices, seed=vertices))
         for sense in Sense:
             for order in SweepOrder:
@@ -258,7 +293,8 @@ class TestDescents:
                 assert len(runs) == 6
                 for idx, run in enumerate(runs):
                     start = random_extremal_schedule(bounds, problem.n, substream(17, idx))
-                    assert run == local_optimize(problem, start, order)
+                    assert run.masks.shape == (problem.n, len(bounds.free_edges))
+                    assert _local_optimum(bounds, run) == local_optimize(problem, start, order)
 
 
 class TestMultistartExhaustive:
