@@ -48,10 +48,10 @@ def stationary_distribution(bounds: IntervalBounds) -> np.ndarray:
     return bounds.marginal / bounds.total
 
 
-def is_pmf(values, tol: float = TOL) -> bool:
-    """True if `values` is a probability mass function up to `tol`."""
+def is_pmf(values) -> bool:
+    """True if `values` is a probability mass function up to `TOL`."""
     v = np.asarray(values, dtype=float)
-    return bool(np.all(np.isfinite(v)) and np.all(v >= -tol) and abs(v.sum() - 1.0) <= tol)
+    return bool(np.all(np.isfinite(v)) and np.all(v >= -TOL) and abs(v.sum() - 1.0) <= TOL)
 
 
 def detailed_balance_residual(bounds: IntervalBounds, w: WeightFunction) -> float:

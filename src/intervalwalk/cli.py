@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .experiments import (
 )
 from .generate import _REAL_FIELDS, GenerationError, GenParams, generate_instance
 from .graph import StateSpace, validate
-from .instancefile import ProblemInstance, load_instance, save_instance
+from .instancefile import ProblemInstance, load_instance, save_instance, write_json
 from .optimize import MultistartReport, Sense, SweepOrder, multistart
 from .oracle import BudgetExceededError, exact_bounds
 
@@ -35,33 +36,36 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _cannot_write(path, exc: OSError) -> int:
-    return _fail(f"cannot write {path}: {exc.strerror or exc}", 2)
-
-
-def _write_record(path, payload: dict) -> int:
-    """Write `payload` to `path` as indented JSON; exit 2 when it cannot be written."""
+def _load(loader, path: str):
+    """`loader(path)`, with a failed read reported as a ValueError."""
     try:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        return _cannot_write(path, exc)
-    print(f"wrote {path}")
-    return 0
-
-
-def _load(path: str) -> ProblemInstance:
-    try:
-        return load_instance(path)
+        return loader(path)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
+def _check_out(path: str, directory: bool) -> None:
+    """Raise the OSError that writing the file `path`, or creating the output
+    directory `path`, would meet.  Creates nothing; a write can still fail
+    later, for instance on a full disk."""
+    target = Path(path)
+    start = target if directory else target.parent
+    existing = next((p for p in (start, *start.parents) if p.exists()), start)
+    code = 0
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == target else errno.ENOTDIR
+    elif not directory and existing != start:
+        code = errno.ENOENT
+    elif not directory and target.is_dir():
+        code = errno.EISDIR
+    elif not os.access(existing, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def cmd_validate(args) -> int:
-    try:
-        instance = _load(args.instance)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    report = validate(instance.bounds)
+    report = validate(_load(load_instance, args.instance).bounds)
     print(report)
     return 0 if report.ok else 1
 
@@ -102,15 +106,14 @@ def cmd_bounds(args) -> int:
         return _fail(f"--starts must be at least 1, got {args.starts}", 2)
     if args.seed < 0:
         return _fail(f"--seed must be non-negative, got {args.seed}", 2)
-    try:
-        instance = _load(args.instance)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    instance = _load(load_instance, args.instance)
     report = validate(instance.bounds)
     if not report.ok:
         return _fail(f"instance is not valid:\n{report}", 1)
     if instance.steps < 1:
         return _fail("instance has steps = 0; nothing to optimize", 1)
+    if args.out:
+        _check_out(args.out, directory=False)
     order = SweepOrder(args.strategy)
     senses = (Sense.MIN, Sense.MAX) if args.sense == "both" else (Sense(args.sense),)
     labels = instance.states.labels
@@ -127,24 +130,19 @@ def cmd_bounds(args) -> int:
             "steps": instance.steps,
             "results": results,
         }
-        return _write_record(args.out, payload)
+        write_json(args.out, payload)
+        print(f"wrote {args.out}")
     return 0
 
 
 def cmd_oracle(args) -> int:
-    try:
-        instance = _load(args.instance)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    instance = _load(load_instance, args.instance)
     report = validate(instance.bounds)
     if not report.ok:
         return _fail(f"instance is not valid:\n{report}", 1)
-    try:
-        result = exact_bounds(
-            instance.bounds, instance.q, instance.f, instance.steps, budget=args.budget
-        )
-    except BudgetExceededError as exc:
-        return _fail(str(exc), 1)
+    if args.out:
+        _check_out(args.out, directory=False)
+    result = exact_bounds(instance.bounds, instance.q, instance.f, instance.steps, budget=args.budget)
     labels = instance.states.labels
     print(f"exact lower bound: {result.minimum!r} ({len(result.argmin)} optimal schedules)")
     print(f"exact upper bound: {result.maximum!r} ({len(result.argmax)} optimal schedules)")
@@ -156,22 +154,17 @@ def cmd_oracle(args) -> int:
             "argmin": [_schedule_json(labels, sched) for sched in result.argmin],
             "argmax": [_schedule_json(labels, sched) for sched in result.argmax],
         }
-        return _write_record(args.out, payload)
+        write_json(args.out, payload)
+        print(f"wrote {args.out}")
     return 0
 
 
 def cmd_gen(args) -> int:
-    try:
-        fields = {name: getattr(args, name) for name in _REAL_FIELDS}
-        params = GenParams(args.vertices, seed=args.seed, **fields)
-        bounds, q, f = generate_instance(params)
-        instance = ProblemInstance(StateSpace.of_size(args.vertices), bounds, q, f, args.steps)
-    except (ValueError, GenerationError) as exc:
-        return _fail(str(exc), 2)
-    try:
-        save_instance(args.out, instance)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
+    fields = {name: getattr(args, name) for name in _REAL_FIELDS}
+    params = GenParams(args.vertices, seed=args.seed, **fields)
+    bounds, q, f = generate_instance(params)
+    instance = ProblemInstance(StateSpace.of_size(args.vertices), bounds, q, f, args.steps)
+    save_instance(args.out, instance)
     pairs = args.vertices * (args.vertices - 1) // 2
     edges = int(np.count_nonzero(bounds.upper) // 2)
     print(f"wrote {args.out}")
@@ -198,7 +191,7 @@ def _parse_cells(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _experiment_config(args, base: ExperimentConfig) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else base
+    config = _load(load_config, args.config) if args.config else base
     cells = None if args.cells is None else _parse_cells(args.cells)
     # ExperimentConfig converts the sense and order strings itself
     flags = dict(
@@ -209,18 +202,11 @@ def _experiment_config(args, base: ExperimentConfig) -> ExperimentConfig:
 
 
 def _run_experiment(args) -> int:
-    try:
-        config = _experiment_config(args, args.base)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), 2)
+    config = _experiment_config(args, args.base)
     if args.threads < 1:
         return _fail(f"--threads must be at least 1, got {args.threads}", 2)
-    try:
-        csv_path, summary_path = args.runner(config, args.out, threads=args.threads)
-    except GenerationError as exc:
-        return _fail(str(exc), 2)
-    except OSError as exc:
-        return _cannot_write(exc.filename or args.out, exc)
+    _check_out(args.out, directory=True)
+    csv_path, summary_path = args.runner(config, args.out, threads=args.threads)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
     return 0
@@ -312,8 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where an exception becomes an exit code.
+
+    A budget refusal exits 1; bad input (ValueError, GenerationError) and a
+    failed write (OSError: every read error is already a ValueError) exit 2.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceededError as exc:
+        return _fail(str(exc), 1)
+    except (ValueError, GenerationError) as exc:
+        return _fail(str(exc), 2)
+    except OSError as exc:
+        return _fail(f"cannot write {exc.filename or args.out}: {exc.strerror or exc}", 2)
 
 
 if __name__ == "__main__":

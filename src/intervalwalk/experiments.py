@@ -14,7 +14,6 @@ files.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .generate import _REAL_FIELDS, GenParams, _is_integer, generate_instance
+from .instancefile import read_json, write_json
 from .optimize import OptimizationProblem, Sense, SweepOrder, multistart
 from .optimize import _census_rank, _descents, _random_starts
 from .rng import derive_seed, substream
@@ -119,11 +119,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a JSON document: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path))
 
 
 def _write_outputs(
@@ -139,8 +135,7 @@ def _write_outputs(
         writer.writerow(header)
         writer.writerows(rows)
     summary_path = out_dir / f"{name}_summary.json"
-    payload = {"config": config_to_dict(config), **summary}
-    summary_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(summary_path, {"config": config_to_dict(config), **summary})
     return csv_path, summary_path
 
 

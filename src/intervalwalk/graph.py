@@ -19,9 +19,9 @@ import numpy as np
 TOL = 1e-12
 
 
-def close(a: float, b: float, tol: float = TOL) -> bool:
-    """True if a and b agree to `tol`, relative with an absolute floor of 1."""
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def close(a: float, b: float) -> bool:
+    """True if a and b agree to `TOL`, relative with an absolute floor of 1."""
+    return abs(a - b) <= TOL * max(1.0, abs(a), abs(b))
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -497,20 +497,18 @@ def one_step_minimizer(bounds: IntervalBounds, q, f) -> tuple[WeightFunction, Ed
     return weight_from_selection(bounds, selection), selection
 
 
-def selection_of(
-    bounds: IntervalBounds, w: WeightFunction, tol: float = TOL
-) -> EdgeSelection | None:
+def selection_of(bounds: IntervalBounds, w: WeightFunction) -> EdgeSelection | None:
     """Recover the endpoint selection that reproduces `w`, or None.
 
     Returns None when any free edge weight sits strictly inside its interval,
-    i.e. the function is not extremal.  Comparison is relative to `tol` with
+    i.e. the function is not extremal.  Comparison is relative to `TOL` with
     an absolute floor of 1.
     """
     i, j = bounds._free_idx
     vals = w.offdiag[i, j]
     scale = np.maximum(1.0, np.abs(vals))
-    at_lower = np.abs(vals - bounds.free_lower) <= tol * np.maximum(scale, np.abs(bounds.free_lower))
-    at_upper = np.abs(vals - bounds.free_upper) <= tol * np.maximum(scale, np.abs(bounds.free_upper))
+    at_lower = np.abs(vals - bounds.free_lower) <= TOL * np.maximum(scale, np.abs(bounds.free_lower))
+    at_upper = np.abs(vals - bounds.free_upper) <= TOL * np.maximum(scale, np.abs(bounds.free_upper))
     if not np.all(at_lower | at_upper):
         return None
     # prefer the lower endpoint when an interval is narrower than the tolerance

@@ -3,14 +3,16 @@
 One document holds the whole problem: state labels, the interval matrices
 (row-major, zero diagonal), the marginals, the q and f vectors, and the step
 count.  Floats are serialized as shortest round-tripping decimals, so a
-save/load cycle reproduces every number bit for bit.
+save/load cycle reproduces every number bit for bit.  `write_json` and
+`read_json` are the package's one JSON writer and reader: instance files,
+experiment configs and summaries, and the CLI's result records all pass
+through them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -86,15 +88,29 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     return ProblemInstance(states, bounds, q, f, data["steps"])
 
 
+def write_json(path, payload) -> None:
+    """Write `payload` to `path` as JSON indented by 2, plus a final newline.
+
+    The document is streamed to the file, never held in memory as one string.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def read_json(path):
+    """Parse the JSON document at `path`; raises ValueError when it is not JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not a JSON document: {exc}") from exc
+
+
 def save_instance(path, instance: ProblemInstance) -> None:
-    text = json.dumps(instance_to_dict(instance), indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_json(path, instance_to_dict(instance))
 
 
 def load_instance(path) -> ProblemInstance:
     """Load an instance file; raises ValueError on malformed content."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a JSON document: {exc}") from exc
-    return instance_from_dict(data)
+    return instance_from_dict(read_json(path))

@@ -105,6 +105,10 @@ def _local_optimum(bounds: IntervalBounds, run: _Descent) -> LocalOptimum:
     return LocalOptimum(_selections_from_masks(bounds, run.masks), *run[1:])
 
 
+#: Absolute gap below which two extremum values count as one distinct value.
+DISTINCT_ATOL = 1e-9
+
+
 @dataclass(frozen=True)
 class MultistartReport:
     """Aggregate of many local descents: the best fixed point plus a census
@@ -115,12 +119,12 @@ class MultistartReport:
     starts: int
     seed: int | None
 
-    def distinct_values(self, atol: float = 1e-9) -> tuple[float, ...]:
-        """Extremum values clustered at `atol` (distinct selections can tie)."""
+    def distinct_values(self) -> tuple[float, ...]:
+        """Extremum values clustered at `DISTINCT_ATOL` (distinct selections can tie)."""
         values = sorted(v for _, v, _ in self.unique_extrema)
         out: list[float] = []
         for v in values:
-            if not out or v - out[-1] > atol:
+            if not out or v - out[-1] > DISTINCT_ATOL:
                 out.append(v)
         return tuple(out)
 

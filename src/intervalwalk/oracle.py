@@ -26,6 +26,9 @@ from .graph import (
 #: Absolute tolerance for collecting all schedules tied with an optimum.
 ARGOPT_ATOL = 1e-12
 
+#: Most free edges whose 2^e extremal weight functions are enumerated.
+EXTREMAL_CAP = 20
+
 
 class BudgetExceededError(RuntimeError):
     """Raised instead of returning an approximate answer when an exact
@@ -39,16 +42,20 @@ class ExactBounds(NamedTuple):
     argmax: tuple[tuple[EdgeSelection, ...], ...]
 
 
-def enumerate_extremal(
-    bounds: IntervalBounds, cap: int = 20
-) -> list[tuple[EdgeSelection, WeightFunction]]:
-    """All 2^e extremal weight functions, in the lexicographic selection order
-    of ``graph._extremal_masks``."""
-    e = len(bounds.free_edges)
+def _check_cap(e: int, cap: int) -> None:
     if e > cap:
         raise BudgetExceededError(
             f"{e} free edges would enumerate 2^{e} extremal functions, over the cap of 2^{cap}"
         )
+
+
+def enumerate_extremal(
+    bounds: IntervalBounds, cap: int = EXTREMAL_CAP
+) -> list[tuple[EdgeSelection, WeightFunction]]:
+    """All 2^e extremal weight functions, in the lexicographic selection order
+    of ``graph._extremal_masks``."""
+    e = len(bounds.free_edges)
+    _check_cap(e, cap)
     selections = _selections_from_masks(bounds, _extremal_masks(e))
     return [(sel, weight_from_selection(bounds, sel)) for sel in selections]
 
@@ -76,7 +83,7 @@ class _ArgTracker:
 
 
 def exact_bounds(
-    bounds: IntervalBounds, q, f, n: int, budget: int = 2**24, cap: int = 20
+    bounds: IntervalBounds, q, f, n: int, budget: int = 2**24
 ) -> ExactBounds:
     """Exact minimum and maximum of the n-step expectation over extremal
     schedules, with every optimal schedule within 1e-12 of the optimum.
@@ -85,17 +92,14 @@ def exact_bounds(
     selection order of ``graph._extremal_masks``.
 
     Refuses (BudgetExceededError) when the (2^e)^n schedule evaluations would
-    exceed `budget`, or when 2^e extremal functions exceed 2^`cap`.
+    exceed `budget`, or when 2^e extremal functions exceed 2^`EXTREMAL_CAP`.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
     q = np.asarray(q, dtype=float)
     f = np.asarray(f, dtype=float)
     e = len(bounds.free_edges)
-    if e > cap:
-        raise BudgetExceededError(
-            f"{e} free edges would enumerate 2^{e} extremal functions, over the cap of 2^{cap}"
-        )
+    _check_cap(e, EXTREMAL_CAP)
     total = (1 << e) ** n
     if total > budget:
         raise BudgetExceededError(

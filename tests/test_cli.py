@@ -13,6 +13,7 @@ from intervalwalk import (
     load_instance,
     save_instance,
 )
+from intervalwalk import experiments
 from intervalwalk.cli import main
 
 
@@ -301,6 +302,12 @@ class TestExperimentCommands:
         assert "unrecognized arguments: --strategy" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_missing_config_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["exp-count", "--config", str(missing), "--out", str(tmp_path / "r")]) == 2
+        assert f"error: cannot read {missing}: " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_strategy_sets_the_order(self, tmp_path):
         args = ["--cells", "3x2", "--instances", "1", "--starts", "2", "--strategy", "right-to-left"]
         assert main(["exp-scatter", *args, "--out", str(tmp_path)]) == 0
@@ -321,3 +328,35 @@ def test_unwritable_out_exits_two(example_file, tmp_path, capsys, command):
     }[command]
     assert main([*argv, "--out", out]) == 2
     assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+class TestOutCheckedFirst:
+    """An unwritable --out fails before any multistart, enumeration or grid runs."""
+
+    def test_bounds_missing_directory(self, example_file, tmp_path, capsys):
+        out = str(tmp_path / "nodir" / "x.json")
+        assert main(["bounds", str(example_file), "--starts", "4", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {out}: No such file or directory" in captured.err
+
+    def test_oracle_out_is_a_directory(self, example_file, tmp_path, capsys):
+        assert main(["oracle", str(example_file), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {tmp_path}: Is a directory" in captured.err
+
+    def test_experiment_runs_no_multistart(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = experiments.multistart
+        monkeypatch.setattr(experiments, "multistart", lambda *a, **k: calls.append(a) or real(*a, **k))
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = str(blocker / "x")
+        args = ["--cells", "3x2", "--instances", "1", "--starts", "2", "--out", out]
+        assert main(["exp-count", *args]) == 2
+        assert f"error: cannot write {out}: Not a directory" in capsys.readouterr().err
+        assert calls == []
+        # the patch is live: the same run into a writable directory calls it
+        assert main(["exp-count", *args[:-1], str(tmp_path / "r")]) == 0
+        assert len(calls) == 2

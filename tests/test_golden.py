@@ -1,9 +1,10 @@
 """Golden bytes: output files pinned by their sha256.
 
-The digests were recorded before the descent stopped building endpoint
-selections per start.  Any change to a number, to the census order or to the
-file layout shows here; change a digest only together with a documented
-change of the output format.
+The bounds and CSV digests were recorded before the descent stopped building
+endpoint selections per start; the instance-file, oracle-record and summary
+digests before every JSON document went through one streaming writer.  Any
+change to a number, to the census order or to the file layout shows here;
+change a digest only together with a documented change of the output format.
 """
 
 import hashlib
@@ -23,6 +24,17 @@ def instance_file(tmp_path, capsys):
     assert main(["gen", "--vertices", "5", "--steps", "3", "--seed", "7", "--out", str(path)]) == 0
     capsys.readouterr()
     return path
+
+
+def test_instance_file(instance_file):
+    assert sha256(instance_file) == "63557b029c3b01b28b26ad1cef466488033b676e6899b77312e9f057b6e29f07"
+
+
+def test_oracle_record(tmp_path):
+    path, out = tmp_path / "tiny.json", tmp_path / "oracle.json"
+    assert main(["gen", "--vertices", "4", "--steps", "2", "--seed", "7", "--out", str(path)]) == 0
+    assert main(["oracle", str(path), "--out", str(out)]) == 0
+    assert sha256(out) == "bd84de1789648de7ed0961ee46aed9b3229c720d20f3227a6f027080e11ae3dd"
 
 
 BOUNDS_DIGESTS = {
@@ -50,6 +62,25 @@ EXPERIMENT_DIGESTS = {
 @pytest.mark.parametrize("command", sorted(EXPERIMENT_DIGESTS))
 def test_experiment_csv(tmp_path, command):
     filename, digest = EXPERIMENT_DIGESTS[command]
+    args = ["--cells", "3x2,4x2", "--instances", "2", "--starts", "5", "--seed", "3"]
+    assert main([command, *args, "--out", str(tmp_path)]) == 0
+    assert sha256(tmp_path / filename) == digest
+
+
+SUMMARY_DIGESTS = {
+    "exp-count": ("extrema_counts_summary.json", "843611bfdbb5dca33f131929fe8345e15e7636e338520f56d8b73e20ad73f9c8"),
+    "exp-sweep": ("sweep_comparison_summary.json", "f952cd4e79c5a6fc9d75c5f5b1a7ead4b532745b135a4c0d328220e8c2ea58ee"),
+    "exp-scatter": (
+        "initial_vs_optimized_summary.json",
+        "673fb474cdae933c48992f2c35b94edd6e5e060fe09527c94bca9f9277f5cd3a",
+    ),
+    "exp-dev": ("deviation_curves_summary.json", "929466a2c6087d29512f052b57efcaa38dea9ea4541b3001ba8c24a82b074776"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUMMARY_DIGESTS))
+def test_experiment_summary(tmp_path, command):
+    filename, digest = SUMMARY_DIGESTS[command]
     args = ["--cells", "3x2,4x2", "--instances", "2", "--starts", "5", "--seed", "3"]
     assert main([command, *args, "--out", str(tmp_path)]) == 0
     assert sha256(tmp_path / filename) == digest
