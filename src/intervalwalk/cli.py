@@ -41,7 +41,7 @@ def _load(loader, path: str):
     try:
         return loader(path)
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _check_out(path: str, directory: bool) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from .generate import _REAL_FIELDS, GenParams, _is_integer, generate_instance
 from .instancefile import read_json, write_json
 from .optimize import OptimizationProblem, Sense, SweepOrder, multistart
-from .optimize import _census_rank, _descents, _random_starts
+from .optimize import _census, _descents, _random_starts
 from .rng import derive_seed, substream
 
 # experiment ids and stream roles for substream addressing
@@ -155,24 +155,24 @@ def _run_grid(task, config: ExperimentConfig, threads: int):
 
 
 def _instance_for(config, exp_id, ci, inst):
-    vertices, steps = config.cells[ci]
-    params = config.gen_params(vertices, derive_seed(config.seed, exp_id, _ROLE_GEN, ci, inst))
-    bounds, q, f = generate_instance(params)
-    return bounds, q, f, steps
+    params = config.gen_params(config.cells[ci][0], derive_seed(config.seed, exp_id, _ROLE_GEN, ci, inst))
+    return generate_instance(params)
 
 
 # --- unique local extrema census ---------------------------------------------
 
 
 def _count_task(args):
+    """The CSV row of one instance: its numbers of distinct minima and maxima."""
     config, ci, inst = args
-    bounds, q, f, steps = _instance_for(config, _EXP_COUNT, ci, inst)
-    counts = []
+    vertices, steps = config.cells[ci]
+    bounds, q, f = _instance_for(config, _EXP_COUNT, ci, inst)
+    row = [vertices, steps, inst]
     for sense, role in _SENSE_ROLES.items():
         problem = OptimizationProblem(bounds, q, f, steps, sense)
         seed = derive_seed(config.seed, _EXP_COUNT, role, ci, inst)
-        counts.append(len(multistart(problem, config.starts, seed, config.order).unique_extrema))
-    return ci, inst, *counts
+        row.append(len(multistart(problem, config.starts, seed, config.order).unique_extrema))
+    return row
 
 
 def run_extrema_count(config: ExperimentConfig, out_dir, threads: int = 1) -> tuple[Path, Path]:
@@ -187,16 +187,9 @@ def run_extrema_count(config: ExperimentConfig, out_dir, threads: int = 1) -> tu
     rows = []
     cell_stats = []
     for ci, (vertices, steps) in enumerate(config.cells):
-        mins, maxs = [], []
-        for rci, inst, n_min, n_max in results:
-            if rci != ci:
-                continue
-            rows.append([vertices, steps, inst, n_min, n_max])
-            mins.append(n_min)
-            maxs.append(n_max)
-        mean_min = float(np.mean(mins))
-        mean_max = float(np.mean(maxs))
-        rows.append([vertices, steps, "mean", mean_min, mean_max])
+        cell = results[ci * config.instances : (ci + 1) * config.instances]
+        mean_min, mean_max = np.mean([row[3:] for row in cell], axis=0).tolist()
+        rows += [*cell, [vertices, steps, "mean", mean_min, mean_max]]
         cell_stats.append(
             {
                 "vertices": vertices,
@@ -221,30 +214,26 @@ def run_extrema_count(config: ExperimentConfig, out_dir, threads: int = 1) -> tu
 
 
 def _sweep_task(args):
+    """The CSV rows and summary entry of one instance: both orders descend
+    from the same starts, and one census counts where each lands."""
     config, ci, inst = args
-    bounds, q, f, steps = _instance_for(config, _EXP_SWEEP, ci, inst)
-    out = []
+    vertices, steps = config.cells[ci]
+    bounds, q, f = _instance_for(config, _EXP_SWEEP, ci, inst)
+    rows = []
+    fractions = {}
     for sense, role in _SENSE_ROLES.items():
         problem = OptimizationProblem(bounds, q, f, steps, sense)
         seed = derive_seed(config.seed, _EXP_SWEEP, role, ci, inst)
         starts = list(_random_starts(problem, config.starts, seed))
-        census: dict[bytes, list] = {}
-        disagreements = 0
-        for runs in zip(
-            _descents(problem, starts, SweepOrder.LEFT_TO_RIGHT),
-            _descents(problem, starts, SweepOrder.RIGHT_TO_LEFT),
-        ):
-            keys = [run.masks.tobytes() for run in runs]
-            disagreements += keys[0] != keys[1]
-            for column, (key, run) in enumerate(zip(keys, runs)):
-                census.setdefault(key, [run.value, 0, 0])[1 + column] += 1
-        ordered = sorted(census.items(), key=lambda item: _census_rank(item[0], item[1][0], sense))
-        fraction = disagreements / config.starts
-        for _, (value, hits_lr, hits_rl) in ordered:
-            out.append(
-                (sense.value, value, hits_lr / config.starts, hits_rl / config.starts, fraction)
-            )
-    return ci, inst, out
+        lr = list(_descents(problem, starts, SweepOrder.LEFT_TO_RIGHT))
+        rl = list(_descents(problem, starts, SweepOrder.RIGHT_TO_LEFT))
+        disagreements = sum(not np.array_equal(a.masks, b.masks) for a, b in zip(lr, rl))
+        fraction = fractions[sense.value] = disagreements / config.starts
+        for run, (hits_lr, hits_rl) in _census(sense, lr, rl):
+            freqs = [hits_lr / config.starts, hits_rl / config.starts]
+            rows.append([vertices, steps, inst, sense.value, run.value, *freqs, fraction])
+    entry = {"vertices": vertices, "steps": steps, "instance_id": inst, "disagreement_fraction": fractions}
+    return rows, entry
 
 
 def run_sweep_comparison(config: ExperimentConfig, out_dir, threads: int = 1) -> tuple[Path, Path]:
@@ -256,22 +245,6 @@ def run_sweep_comparison(config: ExperimentConfig, out_dir, threads: int = 1) ->
     extrema, repeated on each of its rows).
     """
     results = _run_grid(_sweep_task, config, threads)
-
-    rows = []
-    disagreement_stats = []
-    for ci, inst, entries in results:
-        vertices, steps = config.cells[ci]
-        for sense, value, freq_lr, freq_rl, fraction in entries:
-            rows.append([vertices, steps, inst, sense, value, freq_lr, freq_rl, fraction])
-        disagreement_stats.append(
-            {
-                "vertices": vertices,
-                "steps": steps,
-                "instance_id": inst,
-                "disagreement_fraction": {sense: fraction for sense, _, _, _, fraction in entries},
-            }
-        )
-
     return _write_outputs(
         out_dir,
         "sweep_comparison",
@@ -285,9 +258,9 @@ def run_sweep_comparison(config: ExperimentConfig, out_dir, threads: int = 1) ->
             "freq_right_to_left",
             "order_disagreement_fraction",
         ],
-        rows,
+        [row for rows, _ in results for row in rows],
         config,
-        instances=disagreement_stats,
+        instances=[entry for _, entry in results],
     )
 
 
@@ -298,17 +271,26 @@ def _value_pairs(config, exp_id, ci, inst):
     """The problem of one grid instance in `config.sense`, and a lazy
     (start value, optimized value) pair per start, so that a caller can
     refuse the problem before any descent runs."""
-    bounds, q, f, steps = _instance_for(config, exp_id, ci, inst)
-    problem = OptimizationProblem(bounds, q, f, steps, config.sense)
+    bounds, q, f = _instance_for(config, exp_id, ci, inst)
+    problem = OptimizationProblem(bounds, q, f, config.cells[ci][1], config.sense)
     seed = derive_seed(config.seed, exp_id, _SENSE_ROLES[config.sense], ci, inst)
     runs = _descents(problem, _random_starts(problem, config.starts, seed), config.order)
     return problem, ((run.start_value, run.value) for run in runs)
 
 
 def _scatter_task(args):
+    """The CSV rows of one instance, a pair per start, and its summary entry,
+    the sample correlation of the pairs (None when degenerate)."""
     config, ci, inst = args
+    vertices, steps = config.cells[ci]
     _, pairs = _value_pairs(config, _EXP_SCATTER, ci, inst)
-    return ci, inst, list(pairs)
+    pairs = list(pairs)
+    started, optimized = np.array(pairs).T
+    r = None
+    if started.std() > 0.0 and optimized.std() > 0.0:
+        r = float(np.corrcoef(started, optimized)[0, 1])
+    rows = [[vertices, steps, inst, idx, sv, ov] for idx, (sv, ov) in enumerate(pairs)]
+    return rows, {"vertices": vertices, "steps": steps, "instance_id": inst, "correlation": r}
 
 
 def run_initial_vs_optimized(
@@ -321,29 +303,13 @@ def run_initial_vs_optimized(
     correlation between the two columns (null when degenerate).
     """
     results = _run_grid(_scatter_task, config, threads)
-
-    rows = []
-    correlations = []
-    for ci, inst, pairs in results:
-        vertices, steps = config.cells[ci]
-        started = np.array([p[0] for p in pairs])
-        optimized = np.array([p[1] for p in pairs])
-        for idx, (sv, ov) in enumerate(pairs):
-            rows.append([vertices, steps, inst, idx, sv, ov])
-        r = None
-        if started.std() > 0.0 and optimized.std() > 0.0:
-            r = float(np.corrcoef(started, optimized)[0, 1])
-        correlations.append(
-            {"vertices": vertices, "steps": steps, "instance_id": inst, "correlation": r}
-        )
-
     return _write_outputs(
         out_dir,
         "initial_vs_optimized",
         ["vertices", "steps", "instance_id", "start_id", "start_value", "optimized_value"],
-        rows,
+        [row for rows, _ in results for row in rows],
         config,
-        instances=correlations,
+        instances=[entry for _, entry in results],
     )
 
 
@@ -351,7 +317,10 @@ def run_initial_vs_optimized(
 
 
 def _deviation_task(args):
+    """The summary entry of one instance, which holds its best value, and
+    its two best-so-far deviation curves over the shuffled starts."""
     config, ci, inst = args
+    vertices, steps = config.cells[ci]
     problem, pairs = _value_pairs(config, _EXP_DEV, ci, inst)
     if np.any(problem.q < 0.0) or np.any(problem.f < 0.0):
         raise ValueError("deviation curves need nonnegative q and f")
@@ -364,7 +333,8 @@ def _deviation_task(args):
     best = float(sign * low)
     dev_opt = (np.minimum.accumulate(sign * optimized_values[shuffle]) - low) / best * 100.0
     dev_rand = (np.minimum.accumulate(sign * start_values[shuffle]) - low) / best * 100.0
-    return ci, inst, best, dev_opt, dev_rand
+    entry = {"vertices": vertices, "steps": steps, "instance_id": inst, "best_value": best}
+    return entry, dev_opt, dev_rand
 
 
 def run_deviation_curves(config: ExperimentConfig, out_dir, threads: int = 1) -> tuple[Path, Path]:
@@ -380,8 +350,8 @@ def run_deviation_curves(config: ExperimentConfig, out_dir, threads: int = 1) ->
     """
     results = _run_grid(_deviation_task, config, threads)
 
-    dev_opt = np.vstack([r[3] for r in results])
-    dev_rand = np.vstack([r[4] for r in results])
+    dev_opt = np.vstack([r[1] for r in results])
+    dev_rand = np.vstack([r[2] for r in results])
     rows = [
         [
             m + 1,
@@ -406,13 +376,5 @@ def run_deviation_curves(config: ExperimentConfig, out_dir, threads: int = 1) ->
         rows,
         config,
         parameter_sets=len(results),
-        best_values=[
-            {
-                "vertices": config.cells[ci][0],
-                "steps": config.cells[ci][1],
-                "instance_id": inst,
-                "best_value": best,
-            }
-            for ci, inst, best, _, _ in results
-        ],
+        best_values=[entry for entry, _, _ in results],
     )

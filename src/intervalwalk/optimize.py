@@ -108,6 +108,9 @@ def _local_optimum(bounds: IntervalBounds, run: _Descent) -> LocalOptimum:
 #: Absolute gap below which two extremum values count as one distinct value.
 DISTINCT_ATOL = 1e-9
 
+#: Most starts `multistart_exhaustive` descends from.
+EXHAUSTIVE_BUDGET = 2**16
+
 
 @dataclass(frozen=True)
 class MultistartReport:
@@ -297,22 +300,32 @@ def random_extremal_schedule(
     return tuple(weight_from_selection(bounds, sel) for sel in _selections_from_masks(bounds, masks))
 
 
-def _census_rank(key: bytes, value: float, sense: Sense) -> tuple:
-    """Census order: best value first in the problem's sense, ties by mask bytes,
-    which sort like the per-step choices (LOWER first, first step most significant)."""
-    return (-value if sense is Sense.MAX else value, key)
+def _census(sense: Sense, *streams) -> list[tuple[_Descent, list[int]]]:
+    """The distinct fixed points of one or more descent streams, best first.
+
+    Each entry is the first run to reach a distinct mask array and its hit
+    count in each stream.  Entries are ranked by value in `sense`, ties by
+    mask bytes, which sort like the per-step choices (LOWER first, first step
+    most significant).  A value depends only on the masks, since `_descend`
+    refolds it from them, so the first run stands for every run of its key.
+    """
+    census: dict[bytes, tuple[_Descent, list[int]]] = {}
+    for column, runs in enumerate(streams):
+        for run in runs:
+            census.setdefault(run.masks.tobytes(), (run, [0] * len(streams)))[1][column] += 1
+    sign = -1.0 if sense is Sense.MAX else 1.0
+    ranked = sorted(census.items(), key=lambda item: (sign * item[1][0].value, item[0]))
+    return [entry for _, entry in ranked]
 
 
 def _aggregate(problem, runs, starts, seed) -> MultistartReport:
-    """Census of the descents by mask bytes; `best` is the first run to reach
-    the best key.  Selections are built once per distinct fixed point."""
-    census: dict[bytes, list] = {}
-    for run in runs:
-        census.setdefault(run.masks.tobytes(), [run, 0])[1] += 1
-    ordered = sorted(census.items(), key=lambda item: _census_rank(item[0], item[1][0].value, problem.sense))
-    bounds = problem.bounds
-    unique = tuple((_selections_from_masks(bounds, run.masks), run.value, hits) for _, (run, hits) in ordered)
-    best = _local_optimum(bounds, ordered[0][1][0])
+    """The census of one descent stream as a report; `best` is the first run
+    to reach the best key.  Selections are built once per distinct fixed point."""
+    census = _census(problem.sense, runs)
+    unique = tuple(
+        (_selections_from_masks(problem.bounds, run.masks), run.value, hits) for run, (hits,) in census
+    )
+    best = LocalOptimum(unique[0][0], *census[0][0][1:])
     return MultistartReport(best, unique, starts, seed)
 
 
@@ -351,7 +364,6 @@ def multistart(
 def multistart_exhaustive(
     problem: OptimizationProblem,
     order: SweepOrder = SweepOrder.LEFT_TO_RIGHT,
-    budget: int = 2**16,
 ) -> MultistartReport:
     """Local descent from every extremal schedule, in lexicographic order
     (the selection order of ``graph._extremal_masks``, first step most
@@ -359,14 +371,15 @@ def multistart_exhaustive(
 
     Because each global optimum is itself a start and descent never worsens a
     start, the best fixed point equals the exact global optimum; useful as a
-    cross-check against the enumeration oracle on small instances.
+    cross-check against the enumeration oracle on small instances.  Refuses
+    (BudgetExceededError) beyond `EXHAUSTIVE_BUDGET` starts.
     """
     e = len(problem.bounds.free_edges)
     total = (1 << e) ** problem.n
-    if total > budget:
+    if total > EXHAUSTIVE_BUDGET:
         raise BudgetExceededError(
             f"exhaustive multistart over {e} free edges and {problem.n} steps needs "
-            f"{total} starts, over the budget of {budget}"
+            f"{total} starts, over the budget of {EXHAUSTIVE_BUDGET}"
         )
     table = _extremal_masks(e)
     combos = itertools.product(range(len(table)), repeat=problem.n)

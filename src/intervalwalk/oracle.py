@@ -42,20 +42,18 @@ class ExactBounds(NamedTuple):
     argmax: tuple[tuple[EdgeSelection, ...], ...]
 
 
-def _check_cap(e: int, cap: int) -> None:
-    if e > cap:
+def _check_cap(e: int) -> None:
+    if e > EXTREMAL_CAP:
         raise BudgetExceededError(
-            f"{e} free edges would enumerate 2^{e} extremal functions, over the cap of 2^{cap}"
+            f"{e} free edges would enumerate 2^{e} extremal functions, over the cap of 2^{EXTREMAL_CAP}"
         )
 
 
-def enumerate_extremal(
-    bounds: IntervalBounds, cap: int = EXTREMAL_CAP
-) -> list[tuple[EdgeSelection, WeightFunction]]:
+def enumerate_extremal(bounds: IntervalBounds) -> list[tuple[EdgeSelection, WeightFunction]]:
     """All 2^e extremal weight functions, in the lexicographic selection order
-    of ``graph._extremal_masks``."""
+    of ``graph._extremal_masks``; refuses beyond 2^`EXTREMAL_CAP`."""
     e = len(bounds.free_edges)
-    _check_cap(e, cap)
+    _check_cap(e)
     selections = _selections_from_masks(bounds, _extremal_masks(e))
     return [(sel, weight_from_selection(bounds, sel)) for sel in selections]
 
@@ -99,7 +97,7 @@ def exact_bounds(
     q = np.asarray(q, dtype=float)
     f = np.asarray(f, dtype=float)
     e = len(bounds.free_edges)
-    _check_cap(e, EXTREMAL_CAP)
+    _check_cap(e)
     total = (1 << e) ** n
     if total > budget:
         raise BudgetExceededError(

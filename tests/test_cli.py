@@ -53,8 +53,10 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_missing_file_exits_two(self, tmp_path):
-        assert main(["validate", str(tmp_path / "nope.json")]) == 2
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["validate", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {missing}: No such file or directory\n"
 
 
 class TestBoundsCommand:
@@ -95,6 +97,15 @@ class TestBoundsCommand:
         }
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["bounds", str(path)]) == 1
+
+    def test_zero_steps_exit_one(self, example_file, tmp_path, capsys):
+        doc = json.loads(example_file.read_text())
+        doc["steps"] = 0
+        example_file.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "record.json"
+        assert main(["bounds", str(example_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: instance has steps = 0; nothing to optimize\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("starts", ["0", "-1"])
     def test_starts_below_one_exit_two(self, example_file, tmp_path, capsys, starts):
@@ -280,18 +291,22 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "command,filename",
         [
+            ("exp-count", "extrema_counts.csv"),
             ("exp-sweep", "sweep_comparison.csv"),
             ("exp-scatter", "initial_vs_optimized.csv"),
             ("exp-dev", "deviation_curves.csv"),
         ],
     )
     def test_all_runners_are_deterministic(self, tmp_path, command, filename):
+        # the CSV rows and summary entries are built in the worker processes
+        # at --threads 2
         args = ["--cells", "3x2", "--instances", "2", "--starts", "5", "--seed", "2"]
         assert main([command, *args, "--out", str(tmp_path / "a")]) == 0
         assert main([command, *args, "--out", str(tmp_path / "b")]) == 0
         assert main([command, *args, "--threads", "2", "--out", str(tmp_path / "c")]) == 0
-        a, b, c = ((tmp_path / run / filename).read_bytes() for run in "abc")
-        assert a == b == c
+        for name in (filename, filename.replace(".csv", "_summary.json")):
+            a, b, c = ((tmp_path / run / name).read_bytes() for run in "abc")
+            assert a == b == c
 
     def test_sweep_takes_no_strategy(self, tmp_path, capsys):
         # the sweep comparison always runs both orders
@@ -305,7 +320,7 @@ class TestExperimentCommands:
     def test_missing_config_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["exp-count", "--config", str(missing), "--out", str(tmp_path / "r")]) == 2
-        assert f"error: cannot read {missing}: " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: cannot read {missing}: No such file or directory\n"
         assert not (tmp_path / "r").exists()
 
     def test_strategy_sets_the_order(self, tmp_path):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from intervalwalk import IntervalBounds, experiments
+from intervalwalk import IntervalBounds, experiments, optimize
 from intervalwalk.experiments import (
     ExperimentConfig,
     REFERENCE_MEAN_EXTREMA,
@@ -217,6 +217,19 @@ class TestDeviationCurves:
         summary = json.loads(summary_path.read_text())
         assert summary["parameter_sets"] == 3
         assert all(item["best_value"] > 0 for item in summary["best_values"])
+
+    def test_negative_q_or_f_refused_before_any_descent(self, tmp_path, two_state, monkeypatch):
+        def no_descent(*args):
+            raise AssertionError("descended a refused instance")
+
+        monkeypatch.setattr(optimize, "_descend", no_descent)
+        config = small_config(cells=((2, 2),), instances=1, starts=4)
+        for q, f in (([-1.0, 0.0], [0.0, 1.0]), ([1.0, 0.0], [0.0, -1.0])):
+            instance = (two_state.bounds, np.array(q), np.array(f))
+            monkeypatch.setattr(experiments, "generate_instance", lambda params: instance)
+            with pytest.raises(ValueError, match="nonnegative q and f"):
+                run_deviation_curves(config, tmp_path / "r")
+            assert not (tmp_path / "r").exists()
 
     def test_byte_determinism(self, tmp_path):
         config = small_config(cells=((4, 3),), instances=2, starts=6)

@@ -25,6 +25,7 @@ from intervalwalk import (
     validate,
     weight_from_selection,
 )
+from intervalwalk import optimize
 from intervalwalk.optimize import _descents, _local_optimum, _random_starts
 from intervalwalk.oracle import BudgetExceededError
 from intervalwalk.rng import substream
@@ -186,6 +187,19 @@ class TestLocalOptimize:
         assert len(result.selections) == 2
         assert result.value <= result.start_value + 1e-12
 
+    def test_equal_value_interior_steps_are_pinned(self, two_state):
+        # with f = (1, 1) every schedule has the same value, so no step can
+        # improve: the first sweep only pins both interior steps
+        problem = OptimizationProblem(two_state.bounds, two_state.q, [1.0, 1.0], 2)
+        rng = np.random.default_rng(31)
+        start = (random_weight(two_state.bounds, rng), random_weight(two_state.bounds, rng))
+        assert all(selection_of(two_state.bounds, w) is None for w in start)
+        result = local_optimize(problem, start)
+        assert all(selection_of(two_state.bounds, w) is not None for w in result.schedule(two_state.bounds))
+        assert result.improvements == 0
+        assert result.sweeps == 2
+        assert abs(result.value - result.start_value) <= 1e-12
+
 
 class TestRandomExtremalSchedule:
     def test_steps_live_on_the_two_candidates(self, two_state):
@@ -276,7 +290,7 @@ class TestMultistart:
         monkeypatch.setattr(EdgeSelection, "from_upper_mask", classmethod(counting))
         report = multistart(problem, 40, seed=2)
         assert len(report.unique_extrema) < 10
-        assert len(calls) <= (len(report.unique_extrema) + 1) * problem.n
+        assert len(calls) == len(report.unique_extrema) * problem.n
 
 
 class TestDescents:
@@ -306,11 +320,14 @@ class TestMultistartExhaustive:
         assert report.best.value == pytest.approx(0.18, abs=1e-12)
         assert report.distinct_values() == pytest.approx((0.18, 0.32), abs=1e-12)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        # 11 free edges over 4 steps need 2^44 starts; refused before any descent
         bounds, q, f = generate_instance(GenParams(s=6, seed=0))
         problem = OptimizationProblem(bounds, q, f, 4)
-        with pytest.raises(BudgetExceededError):
-            multistart_exhaustive(problem, budget=2**10)
+        assert len(bounds.free_edges) == 11
+        monkeypatch.setattr(optimize, "_descents", None)
+        with pytest.raises(BudgetExceededError, match=f"needs {2**44} starts, over the budget of {2**16}"):
+            multistart_exhaustive(problem)
 
     def test_matches_oracle_on_small_instances(self):
         from intervalwalk import exact_bounds

@@ -17,6 +17,7 @@ from intervalwalk import (
     multistart,
     one_step_minimizer,
 )
+from intervalwalk import oracle
 from intervalwalk.oracle import BudgetExceededError
 
 
@@ -52,9 +53,18 @@ class TestEnumerateExtremal:
         bounds = IntervalBounds(lower, lower, [1.0, 1.0])
         assert len(enumerate_extremal(bounds)) == 1
 
-    def test_cap_refusal_names_the_numbers(self):
-        with pytest.raises(BudgetExceededError, match="3 free edges"):
-            enumerate_extremal(triangle_bounds(), cap=2)
+    def test_cap_refusal_names_the_numbers(self, monkeypatch):
+        # the complete 7-vertex graph has 21 free edges, one over the cap;
+        # refused before any enumeration
+        lower = np.full((7, 7), 0.1)
+        upper = np.full((7, 7), 0.2)
+        np.fill_diagonal(lower, 0.0)
+        np.fill_diagonal(upper, 0.0)
+        bounds = IntervalBounds(lower, upper, np.full(7, 2.0))
+        assert len(bounds.free_edges) == 21
+        monkeypatch.setattr(oracle, "_extremal_masks", None)
+        with pytest.raises(BudgetExceededError, match=r"21 free edges .* over the cap of 2\^20"):
+            enumerate_extremal(bounds)
 
 
 class TestExactBounds:
