@@ -146,6 +146,16 @@ class IntervalBounds:
         return _frozen_array(np.maximum(0.0, self.marginal - self.upper.sum(axis=1)))
 
 
+def _checked_vectors(bounds: IntervalBounds, q, f) -> tuple[np.ndarray, np.ndarray]:
+    """q and f as read-only float vectors, one finite entry per state of `bounds`."""
+    q, f = _frozen_array(q), _frozen_array(f)
+    if q.shape != (bounds.size,) or f.shape != (bounds.size,):
+        raise ValueError(f"q and f must be vectors of length {bounds.size}")
+    if not (np.isfinite(q).all() and np.isfinite(f).all()):
+        raise ValueError("q and f must be finite")
+    return q, f
+
+
 class EdgeChoice(enum.IntEnum):
     """Which interval endpoint an extremal weight function uses on an edge."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import _is_integer
-from .graph import IntervalBounds, StateSpace
+from .graph import IntervalBounds, StateSpace, _checked_vectors
 from .optimize import OptimizationProblem, Sense
 
 _FIELDS = ("states", "lower", "upper", "marginal", "q", "f", "steps")
@@ -36,18 +36,11 @@ class ProblemInstance:
     def __post_init__(self):
         if self.states.size != self.bounds.size:
             raise ValueError("state labels do not match the matrix size")
-        q = np.array(self.q, dtype=float)
-        f = np.array(self.f, dtype=float)
-        if q.shape != (self.bounds.size,) or f.shape != (self.bounds.size,):
-            raise ValueError("q and f must have one entry per state")
-        if not (np.isfinite(q).all() and np.isfinite(f).all()):
-            raise ValueError("q and f must be finite")
+        q, f = _checked_vectors(self.bounds, self.q, self.f)
         if not _is_integer(self.steps):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        q.setflags(write=False)
-        f.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "steps", int(self.steps))

@@ -11,7 +11,6 @@ fixed point found.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -24,6 +23,7 @@ from .graph import (
     EdgeSelection,
     IntervalBounds,
     WeightFunction,
+    _checked_vectors,
     _extremal_masks,
     _gradient_upper_mask,
     _selections_from_masks,
@@ -55,15 +55,9 @@ class OptimizationProblem:
     sense: Sense = Sense.MIN
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=float)
-        f = np.array(self.f, dtype=float)
-        s = self.bounds.size
-        if q.shape != (s,) or f.shape != (s,):
-            raise ValueError(f"q and f must be vectors of length {s}")
+        q, f = _checked_vectors(self.bounds, self.q, self.f)
         if self.n < 1:
             raise ValueError("need at least one step")
-        q.setflags(write=False)
-        f.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "f", f)
 
@@ -361,13 +355,10 @@ def multistart(
     return _aggregate(problem, runs, starts, seed)
 
 
-def multistart_exhaustive(
-    problem: OptimizationProblem,
-    order: SweepOrder = SweepOrder.LEFT_TO_RIGHT,
-) -> MultistartReport:
-    """Local descent from every extremal schedule, in lexicographic order
-    (the selection order of ``graph._extremal_masks``, first step most
-    significant).
+def multistart_exhaustive(problem: OptimizationProblem) -> MultistartReport:
+    """Left-to-right local descent from every extremal schedule, in
+    lexicographic order (the selection order of ``graph._extremal_masks``,
+    first step most significant).
 
     Because each global optimum is itself a start and descent never worsens a
     start, the best fixed point equals the exact global optimum; useful as a
@@ -381,7 +372,5 @@ def multistart_exhaustive(
             f"exhaustive multistart over {e} free edges and {problem.n} steps needs "
             f"{total} starts, over the budget of {EXHAUSTIVE_BUDGET}"
         )
-    table = _extremal_masks(e)
-    combos = itertools.product(range(len(table)), repeat=problem.n)
-    runs = _descents(problem, (table[list(combo)] for combo in combos), order)
-    return _aggregate(problem, runs, total, None)
+    starts = _extremal_masks(e * problem.n).reshape(total, problem.n, e)
+    return _aggregate(problem, _descents(problem, starts, SweepOrder.LEFT_TO_RIGHT), total, None)

@@ -17,6 +17,7 @@ from .graph import (
     EdgeSelection,
     IntervalBounds,
     WeightFunction,
+    _checked_vectors,
     _extremal_masks,
     _selections_from_masks,
     _transitions_from_masks,
@@ -58,44 +59,27 @@ def enumerate_extremal(bounds: IntervalBounds) -> list[tuple[EdgeSelection, Weig
     return [(sel, weight_from_selection(bounds, sel)) for sel in selections]
 
 
-class _ArgTracker:
-    """Running optimum plus every schedule within ARGOPT_ATOL of it."""
-
-    def __init__(self, sign: float):
-        self.sign = sign  # +1 tracks a minimum, -1 a maximum
-        self.best = np.inf
-        self.entries: list[tuple[float, tuple[int, ...]]] = []
-
-    def offer(self, values: np.ndarray, prefix: tuple[int, ...]) -> None:
-        vals = self.sign * values
-        low = float(vals.min())
-        if low < self.best:
-            self.best = low
-            self.entries = [(v, p) for v, p in self.entries if v <= self.best + ARGOPT_ATOL]
-        for k in np.flatnonzero(vals <= self.best + ARGOPT_ATOL):
-            self.entries.append((float(vals[k]), prefix + (int(k),)))
-
-    def result(self) -> tuple[float, tuple[tuple[int, ...], ...]]:
-        kept = sorted(p for v, p in self.entries if v <= self.best + ARGOPT_ATOL)
-        return self.sign * self.best, tuple(kept)
-
-
 def exact_bounds(
     bounds: IntervalBounds, q, f, n: int, budget: int = 2**24
 ) -> ExactBounds:
     """Exact minimum and maximum of the n-step expectation over extremal
     schedules, with every optimal schedule within 1e-12 of the optimum.
 
-    Optimal schedules are listed in lexicographic order, step by step, of the
-    selection order of ``graph._extremal_masks``.
+    One depth-first pass keeps each leaf block (the 2^e last steps of one
+    prefix) that can hold an optimum of either sense, and both answers are
+    read from those blocks.  Optimal schedules are listed in lexicographic
+    order, step by step, of the selection order of ``graph._extremal_masks``.
 
-    Refuses (BudgetExceededError) when the (2^e)^n schedule evaluations would
-    exceed `budget`, or when 2^e extremal functions exceed 2^`EXTREMAL_CAP`.
+    Raises ValueError on a negative `n`, a `budget` below 1, or a q or f that
+    is not a finite vector over the states.  Refuses (BudgetExceededError)
+    when the (2^e)^n schedule evaluations would exceed `budget`, or when 2^e
+    extremal functions exceed 2^`EXTREMAL_CAP`.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    q = np.asarray(q, dtype=float)
-    f = np.asarray(f, dtype=float)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    q, f = _checked_vectors(bounds, q, f)
     e = len(bounds.free_edges)
     _check_cap(e)
     total = (1 << e) ** n
@@ -111,26 +95,41 @@ def exact_bounds(
     table = _extremal_masks(e)
     stack = _transitions_from_masks(bounds, table)
     m = stack.shape[0]
-    mins = _ArgTracker(+1.0)
-    maxs = _ArgTracker(-1.0)
+    lo, hi = np.inf, -np.inf
+    kept: list[tuple[int, np.ndarray]] = []  # (prefix index, leaf values), ascending
 
-    def explore(depth: int, ql: np.ndarray, prefix: tuple[int, ...]) -> None:
+    def near(low, high) -> bool:
+        """Whether a leaf block spanning [low, high] can hold an optimum of either sense."""
+        return low <= lo + ARGOPT_ATOL or high >= hi - ARGOPT_ATOL
+
+    def explore(depth: int, ql: np.ndarray, index: int) -> None:
+        nonlocal lo, hi, kept
         pushed = np.einsum("x,mxy->my", ql, stack)
-        if depth == n - 1:
-            values = pushed @ f
-            mins.offer(values, prefix)
-            maxs.offer(values, prefix)
-        else:
+        if depth < n - 1:
             for k in range(m):
-                explore(depth + 1, pushed[k], prefix + (k,))
+                explore(depth + 1, pushed[k], index * m + k)
+            return
+        values = pushed @ f
+        low, high = float(values.min()), float(values.max())
+        if low < lo or high > hi:
+            lo, hi = min(lo, low), max(hi, high)
+            kept = [(i, v) for i, v in kept if near(v.min(), v.max())]
+        if near(low, high):
+            kept.append((index, values))
 
-    explore(0, q, ())
+    explore(0, q, 0)
+    # explore reaches itself through its closure: break the cycle so the blocks
+    # and the stack are freed on return, not at the next garbage collection
+    del explore
 
-    minimum, argmin = mins.result()
-    maximum, argmax = maxs.result()
+    def schedules(hit) -> tuple[tuple[EdgeSelection, ...], ...]:
+        flat = [index * m + k for index, values in kept for k in np.flatnonzero(hit(values))]
+        rows = np.stack(np.unravel_index(flat, (m,) * n), axis=-1)
+        return tuple(_selections_from_masks(bounds, table[r]) for r in rows)
+
     return ExactBounds(
-        minimum,
-        maximum,
-        tuple(_selections_from_masks(bounds, table[list(p)]) for p in argmin),
-        tuple(_selections_from_masks(bounds, table[list(p)]) for p in argmax),
+        lo,
+        hi,
+        schedules(lambda values: values <= lo + ARGOPT_ATOL),
+        schedules(lambda values: values >= hi - ARGOPT_ATOL),
     )

@@ -145,6 +145,11 @@ class TestOracleCommand:
         assert main(["oracle", str(example_file), "--budget", "1"]) == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exits_two(self, example_file, capsys, budget):
+        assert main(["oracle", str(example_file), "--budget", budget]) == 2
+        assert f"budget must be at least 1, got {budget}" in capsys.readouterr().err
+
 
 class TestGenCommand:
     def test_gen_validate_roundtrip(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Local descent sweeps, random extremal schedules, and multistart search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from intervalwalk import (
     weight_from_selection,
 )
 from intervalwalk import optimize
+from intervalwalk.graph import _extremal_masks
 from intervalwalk.optimize import _descents, _local_optimum, _random_starts
 from intervalwalk.oracle import BudgetExceededError
 from intervalwalk.rng import substream
@@ -250,6 +253,11 @@ class TestMultistart:
         report = multistart(problem, 16, seed=3)
         assert report.best.value <= 0.18 + 1e-12
 
+    @pytest.mark.parametrize("q, f", [([float("nan"), 0.0], [0.0, 1.0]), ([1.0, 0.0], [0.0, float("-inf")])])
+    def test_non_finite_vectors_rejected(self, two_state, q, f):
+        with pytest.raises(ValueError, match="q and f must be finite"):
+            OptimizationProblem(two_state.bounds, q, f, 2)
+
     def test_rejects_zero_starts(self, two_state):
         with pytest.raises(ValueError):
             multistart(two_state_problem(two_state), 0, seed=0)
@@ -328,6 +336,31 @@ class TestMultistartExhaustive:
         monkeypatch.setattr(optimize, "_descents", None)
         with pytest.raises(BudgetExceededError, match=f"needs {2**44} starts, over the budget of {2**16}"):
             multistart_exhaustive(problem)
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_starts_run_in_lexicographic_order(self, monkeypatch, e, n):
+        # every schedule once, first step most significant, each step in
+        # the selection order of the one-step table
+        lower = np.full((3, 3), 0.1)
+        np.fill_diagonal(lower, 0.0)
+        upper = lower.copy()
+        for i, j in ((0, 1), (0, 2), (1, 2))[:e]:
+            upper[i, j] = upper[j, i] = 0.4
+        bounds = IntervalBounds(lower, upper, np.full(3, 1.0))
+        q, f = [0.2, 0.3, 0.5], [1.0, 0.0, 2.0]
+        seen = []
+        descents = optimize._descents
+
+        def recording(problem, start_masks, order):
+            for masks in start_masks:
+                seen.append(masks.tolist())
+                yield from descents(problem, [masks], order)
+
+        monkeypatch.setattr(optimize, "_descents", recording)
+        multistart_exhaustive(OptimizationProblem(bounds, q, f, n))
+        table = _extremal_masks(e)
+        assert seen == [table[list(combo)].tolist() for combo in itertools.product(range(1 << e), repeat=n)]
 
     def test_matches_oracle_on_small_instances(self):
         from intervalwalk import exact_bounds

@@ -1,5 +1,7 @@
 """Exhaustive enumeration oracle: candidate lists, exact bounds, refusals."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from intervalwalk import (
     one_step_minimizer,
 )
 from intervalwalk import oracle
+from intervalwalk.graph import _extremal_masks
 from intervalwalk.oracle import BudgetExceededError
 
 
@@ -110,6 +113,44 @@ class TestExactBounds:
     def test_negative_steps_rejected(self, two_state):
         with pytest.raises(ValueError):
             exact_bounds(two_state.bounds, two_state.q, two_state.f, -1)
+
+    @pytest.mark.parametrize(
+        "q, f, message",
+        [
+            pytest.param([float("nan"), 0.0], [0.0, 1.0], "q and f must be finite", id="q-nan"),
+            pytest.param([1.0, 0.0], [0.0, float("inf")], "q and f must be finite", id="f-inf"),
+            pytest.param([1.0, 0.0, 0.0], [0.0, 1.0], "q and f must be vectors of length 2", id="q-long"),
+        ],
+    )
+    def test_bad_vectors_rejected_before_any_work(self, two_state, monkeypatch, q, f, message):
+        monkeypatch.setattr(oracle, "_transitions_from_masks", None)
+        with pytest.raises(ValueError, match=message):
+            exact_bounds(two_state.bounds, q, f, 2)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_a_bad_argument(self, two_state, budget):
+        with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+            exact_bounds(two_state.bounds, two_state.q, two_state.f, 2, budget=budget)
+
+    def test_leaves_no_garbage_cycle(self):
+        # the enumeration's blocks and transition stack go on return, not at
+        # the next garbage collection
+        bounds, q, f = generate_instance(GenParams(s=4, seed=3))
+        gc.collect()
+        gc.disable()
+        try:
+            exact_bounds(bounds, q, f, 2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_tie_spanning_leaf_blocks_lists_every_schedule(self):
+        # a constant payoff ties all (2^3)^3 schedules, across every leaf block
+        bounds = triangle_bounds()
+        res = exact_bounds(bounds, [0.2, 0.3, 0.5], [0.7, 0.7, 0.7], 3)
+        expected = [m.tolist() for m in _extremal_masks(9).reshape(512, 3, 3)]
+        for schedules in (res.argmin, res.argmax):
+            assert [[sel.upper_mask().tolist() for sel in sched] for sched in schedules] == expected
 
     def test_one_step_agreement_with_minimizer(self):
         # the closed-form one-step minimizer against brute enumeration
