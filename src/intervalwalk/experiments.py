@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .generate import _REAL_FIELDS, GenParams, _is_integer, generate_instance
+from .generate import _REAL_FIELDS, GenParams, generate_instance
+from .graph import _check_integers, _is_integer
 from .instancefile import read_json, write_json
 from .optimize import OptimizationProblem, Sense, SweepOrder, multistart
 from .optimize import _census, _descents, _random_starts
@@ -84,9 +85,7 @@ class ExperimentConfig:
                 raise ValueError(f"bad cell {cell!r}: need a (vertices, steps) pair of integers")
             if cell[0] < 2 or cell[1] < 1:
                 raise ValueError(f"bad cell {cell}: vertices >= 2 and steps >= 1 required")
-        for name in ("instances", "starts"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_integers(instances=self.instances, starts=self.starts)
         if self.instances < 1 or self.starts < 1:
             raise ValueError("instances and starts must be at least 1")
         # the generator fields and the seed obey GenParams' rules
@@ -154,9 +153,20 @@ def _run_grid(task, config: ExperimentConfig, threads: int):
     return _map_tasks(task, tasks, threads)
 
 
-def _instance_for(config, exp_id, ci, inst):
-    params = config.gen_params(config.cells[ci][0], derive_seed(config.seed, exp_id, _ROLE_GEN, ci, inst))
-    return generate_instance(params)
+def _problems(config, exp_id, ci, inst, senses):
+    """The problems of one grid instance, generated once: an
+    (OptimizationProblem, start seed) pair per sense in `senses`, in order."""
+    vertices, steps = config.cells[ci]
+    bounds, q, f = generate_instance(
+        config.gen_params(vertices, derive_seed(config.seed, exp_id, _ROLE_GEN, ci, inst))
+    )
+    return [
+        (
+            OptimizationProblem(bounds, q, f, steps, sense),
+            derive_seed(config.seed, exp_id, _SENSE_ROLES[sense], ci, inst),
+        )
+        for sense in senses
+    ]
 
 
 # --- unique local extrema census ---------------------------------------------
@@ -165,12 +175,8 @@ def _instance_for(config, exp_id, ci, inst):
 def _count_task(args):
     """The CSV row of one instance: its numbers of distinct minima and maxima."""
     config, ci, inst = args
-    vertices, steps = config.cells[ci]
-    bounds, q, f = _instance_for(config, _EXP_COUNT, ci, inst)
-    row = [vertices, steps, inst]
-    for sense, role in _SENSE_ROLES.items():
-        problem = OptimizationProblem(bounds, q, f, steps, sense)
-        seed = derive_seed(config.seed, _EXP_COUNT, role, ci, inst)
+    row = [*config.cells[ci], inst]
+    for problem, seed in _problems(config, _EXP_COUNT, ci, inst, Sense):
         row.append(len(multistart(problem, config.starts, seed, config.order).unique_extrema))
     return row
 
@@ -218,20 +224,17 @@ def _sweep_task(args):
     from the same starts, and one census counts where each lands."""
     config, ci, inst = args
     vertices, steps = config.cells[ci]
-    bounds, q, f = _instance_for(config, _EXP_SWEEP, ci, inst)
     rows = []
     fractions = {}
-    for sense, role in _SENSE_ROLES.items():
-        problem = OptimizationProblem(bounds, q, f, steps, sense)
-        seed = derive_seed(config.seed, _EXP_SWEEP, role, ci, inst)
+    for problem, seed in _problems(config, _EXP_SWEEP, ci, inst, Sense):
         starts = list(_random_starts(problem, config.starts, seed))
         lr = list(_descents(problem, starts, SweepOrder.LEFT_TO_RIGHT))
         rl = list(_descents(problem, starts, SweepOrder.RIGHT_TO_LEFT))
         disagreements = sum(not np.array_equal(a.masks, b.masks) for a, b in zip(lr, rl))
-        fraction = fractions[sense.value] = disagreements / config.starts
-        for run, (hits_lr, hits_rl) in _census(sense, lr, rl):
+        fraction = fractions[problem.sense.value] = disagreements / config.starts
+        for run, (hits_lr, hits_rl) in _census(problem.sense, lr, rl):
             freqs = [hits_lr / config.starts, hits_rl / config.starts]
-            rows.append([vertices, steps, inst, sense.value, run.value, *freqs, fraction])
+            rows.append([vertices, steps, inst, problem.sense.value, run.value, *freqs, fraction])
     entry = {"vertices": vertices, "steps": steps, "instance_id": inst, "disagreement_fraction": fractions}
     return rows, entry
 
@@ -267,15 +270,11 @@ def run_sweep_comparison(config: ExperimentConfig, out_dir, threads: int = 1) ->
 # --- initial value vs optimized value -----------------------------------------
 
 
-def _value_pairs(config, exp_id, ci, inst):
-    """The problem of one grid instance in `config.sense`, and a lazy
-    (start value, optimized value) pair per start, so that a caller can
-    refuse the problem before any descent runs."""
-    bounds, q, f = _instance_for(config, exp_id, ci, inst)
-    problem = OptimizationProblem(bounds, q, f, config.cells[ci][1], config.sense)
-    seed = derive_seed(config.seed, exp_id, _SENSE_ROLES[config.sense], ci, inst)
+def _value_pairs(problem, seed, config) -> np.ndarray:
+    """The (start value, optimized value) of each of `config.starts` starts,
+    descended in `config.order`, as a (starts, 2) array."""
     runs = _descents(problem, _random_starts(problem, config.starts, seed), config.order)
-    return problem, ((run.start_value, run.value) for run in runs)
+    return np.array([(run.start_value, run.value) for run in runs])
 
 
 def _scatter_task(args):
@@ -283,13 +282,13 @@ def _scatter_task(args):
     the sample correlation of the pairs (None when degenerate)."""
     config, ci, inst = args
     vertices, steps = config.cells[ci]
-    _, pairs = _value_pairs(config, _EXP_SCATTER, ci, inst)
-    pairs = list(pairs)
-    started, optimized = np.array(pairs).T
+    [(problem, seed)] = _problems(config, _EXP_SCATTER, ci, inst, [config.sense])
+    pairs = _value_pairs(problem, seed, config)
+    started, optimized = pairs.T
     r = None
     if started.std() > 0.0 and optimized.std() > 0.0:
         r = float(np.corrcoef(started, optimized)[0, 1])
-    rows = [[vertices, steps, inst, idx, sv, ov] for idx, (sv, ov) in enumerate(pairs)]
+    rows = [[vertices, steps, inst, idx, sv, ov] for idx, (sv, ov) in enumerate(pairs.tolist())]
     return rows, {"vertices": vertices, "steps": steps, "instance_id": inst, "correlation": r}
 
 
@@ -321,10 +320,10 @@ def _deviation_task(args):
     its two best-so-far deviation curves over the shuffled starts."""
     config, ci, inst = args
     vertices, steps = config.cells[ci]
-    problem, pairs = _value_pairs(config, _EXP_DEV, ci, inst)
+    [(problem, seed)] = _problems(config, _EXP_DEV, ci, inst, [config.sense])
     if np.any(problem.q < 0.0) or np.any(problem.f < 0.0):
         raise ValueError("deviation curves need nonnegative q and f")
-    start_values, optimized_values = np.array(list(pairs)).T
+    start_values, optimized_values = _value_pairs(problem, seed, config).T
 
     shuffle = substream(config.seed, _EXP_DEV, _ROLE_SHUFFLE, ci, inst).permutation(config.starts)
     # minimize sign * value; negation is exact, so MAX gives the same bits

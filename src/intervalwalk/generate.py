@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import IntervalBounds, connected_components
+from .graph import IntervalBounds, _check_integers, connected_components
 from .rng import exponential, substream
 
 #: Attempts at a connected adjacency before giving up.
@@ -24,10 +24,6 @@ RETRY_CAP = 1000
 
 #: The real-valued GenParams fields; all but the first must be positive.
 _REAL_FIELDS = ("disconnect_fraction", "lower_mean", "width_mean", "qf_mean", "marginal_slack")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_finite_real(value) -> bool:
@@ -58,9 +54,7 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("s", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_integers(s=self.s, seed=self.seed)
         for name in _REAL_FIELDS:
             if not _is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")

@@ -10,6 +10,7 @@ weight function has row sums exactly W(x).
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,6 +145,18 @@ class IntervalBounds:
     def min_loop(self) -> np.ndarray:
         """Smallest admissible loop weight per state: max(0, W(x) - sum of uppers)."""
         return _frozen_array(np.maximum(0.0, self.marginal - self.upper.sum(axis=1)))
+
+
+def _is_integer(value) -> bool:
+    """Whether `value` is an integer count or seed: numpy integers count, bools do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_integers(**values) -> None:
+    """Raise ValueError naming the first of `values` that is not an integer."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _checked_vectors(bounds: IntervalBounds, q, f) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +342,6 @@ def validate(bounds: IntervalBounds) -> ValidationReport:
     rejected by the IntervalBounds constructor instead of being reported here.
     """
     low, up, marg = bounds.lower, bounds.upper, bounds.marginal
-    s = bounds.size
     violations: list[Violation] = []
 
     for x in np.flatnonzero(marg <= 0.0):
@@ -357,14 +369,13 @@ def validate(bounds: IntervalBounds) -> ValidationReport:
                     )
                 )
     for x, y in np.argwhere(low > up):
-        if x != y:
-            violations.append(
-                Violation(
-                    ViolationCode.ORDER,
-                    (int(x), int(y)),
-                    f"lower({x}, {y}) = {low[x, y]} exceeds upper({x}, {y}) = {up[x, y]}",
-                )
+        violations.append(
+            Violation(
+                ViolationCode.ORDER,
+                (int(x), int(y)),
+                f"lower({x}, {y}) = {low[x, y]} exceeds upper({x}, {y}) = {up[x, y]}",
             )
+        )
     row_upper = up.sum(axis=1)
     for x in np.flatnonzero(row_upper > marg):
         violations.append(
@@ -374,16 +385,14 @@ def validate(bounds: IntervalBounds) -> ValidationReport:
                 f"upper bounds incident to {x} sum to {row_upper[x]} > W({x}) = {marg[x]}",
             )
         )
-    iu, ju = np.triu_indices(s, k=1)
-    for x, y in zip(iu, ju):
-        if up[x, y] > 0.0 and low[x, y] <= 0.0:
-            violations.append(
-                Violation(
-                    ViolationCode.CONVENTION,
-                    (int(x), int(y)),
-                    f"edge ({x}, {y}) has upper = {up[x, y]} > 0 but lower = {low[x, y]}",
-                )
+    for x, y in np.argwhere(np.triu((up > 0.0) & (low <= 0.0), k=1)):
+        violations.append(
+            Violation(
+                ViolationCode.CONVENTION,
+                (int(x), int(y)),
+                f"edge ({x}, {y}) has upper = {up[x, y]} > 0 but lower = {low[x, y]}",
             )
+        )
     components = connected_components(low > 0.0)
     if len(components) > 1:
         for component in components[1:]:
@@ -398,8 +407,7 @@ def validate(bounds: IntervalBounds) -> ValidationReport:
 
     warnings = []
     if not violations:
-        tight = np.flatnonzero(marg - up.sum(axis=1) <= 0.0)
-        for x in tight:
+        for x in np.flatnonzero(marg - row_upper <= 0.0):
             warnings.append(
                 f"state {x}: the admissible loop weight can reach 0 "
                 "(upper bounds exhaust the marginal); some walks lose aperiodicity"

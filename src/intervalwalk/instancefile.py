@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import _is_integer
-from .graph import IntervalBounds, StateSpace, _checked_vectors
+from .graph import IntervalBounds, StateSpace, _check_integers, _checked_vectors
 from .optimize import OptimizationProblem, Sense
 
 _FIELDS = ("states", "lower", "upper", "marginal", "q", "f", "steps")
@@ -37,8 +36,7 @@ class ProblemInstance:
         if self.states.size != self.bounds.size:
             raise ValueError("state labels do not match the matrix size")
         q, f = _checked_vectors(self.bounds, self.q, self.f)
-        if not _is_integer(self.steps):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
+        _check_integers(steps=self.steps)
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         object.__setattr__(self, "q", q)

@@ -23,6 +23,7 @@ from .graph import (
     EdgeSelection,
     IntervalBounds,
     WeightFunction,
+    _check_integers,
     _checked_vectors,
     _extremal_masks,
     _gradient_upper_mask,
@@ -56,10 +57,12 @@ class OptimizationProblem:
 
     def __post_init__(self):
         q, f = _checked_vectors(self.bounds, self.q, self.f)
+        _check_integers(n=self.n)
         if self.n < 1:
             raise ValueError("need at least one step")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "f", f)
+        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True)
@@ -268,17 +271,15 @@ def local_optimize(
 def _random_upper_masks(bounds: IntervalBounds, n: int, rng: np.random.Generator) -> np.ndarray:
     """Endpoint masks of n random extremal weight functions.
 
-    Each step draws two uniform random state rankings and takes the sign of
-    the edge gradient they induce, which covers exactly the selections a
-    one-step optimization could ever produce.
+    Each step draws two uniform random state rankings, h then f, and takes
+    the sign of the edge gradient they induce, which covers exactly the
+    selections a one-step optimization could ever produce.
     """
-    masks = np.empty((n, len(bounds.free_edges)), dtype=bool)
     s = bounds.size
-    for t in range(n):
-        h = rng.permutation(s).astype(float)
-        f = rng.permutation(s).astype(float)
-        masks[t] = _gradient_upper_mask(bounds, h, f)
-    return masks
+    ranks = np.array([rng.permutation(s) for _ in range(2 * n)], dtype=float).reshape(n, 2, s)
+    # one kernel call for all steps; it indexes its first axis, so it takes
+    # (s, n) rankings and returns (e, n) masks
+    return _gradient_upper_mask(bounds, ranks[:, 0].T, ranks[:, 1].T).T
 
 
 def random_extremal_schedule(
@@ -289,8 +290,11 @@ def random_extremal_schedule(
     Deterministic for an integer seed; pass a Generator to draw from an
     existing stream.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else rngmod.substream(seed)
-    masks = _random_upper_masks(bounds, n, rng)
+    _check_integers(n=n)
+    if not isinstance(seed, np.random.Generator):
+        _check_integers(seed=seed)
+        seed = rngmod.substream(seed)
+    masks = _random_upper_masks(bounds, n, seed)
     return tuple(weight_from_selection(bounds, sel) for sel in _selections_from_masks(bounds, masks))
 
 
@@ -349,6 +353,7 @@ def multistart(
     Each start draws from its own substream keyed by (seed, start index), so
     the report is reproducible and independent of how the runs are executed.
     """
+    _check_integers(starts=starts, seed=seed)
     if starts < 1:
         raise ValueError("need at least one start")
     runs = _descents(problem, _random_starts(problem, starts, seed), order)

@@ -18,6 +18,7 @@ from .graph import (
     IntervalBounds,
     WeightFunction,
     _checked_vectors,
+    _check_integers,
     _extremal_masks,
     _selections_from_masks,
     _transitions_from_masks,
@@ -70,13 +71,16 @@ def exact_bounds(
     read from those blocks.  Optimal schedules are listed in lexicographic
     order, step by step, of the selection order of ``graph._extremal_masks``.
 
-    Raises ValueError on a negative `n`, a `budget` below 1, or a q or f that
-    is not a finite vector over the states.  Refuses (BudgetExceededError)
-    when the (2^e)^n schedule evaluations would exceed `budget`, or when 2^e
-    extremal functions exceed 2^`EXTREMAL_CAP`.
+    Raises ValueError on an `n` that is not a nonnegative integer, a `budget`
+    that is not an integer of at least 1, or a q or f that is not a finite
+    vector over the states.
+    Refuses (BudgetExceededError) when the (2^e)^n schedule evaluations would
+    exceed `budget`, or when 2^e extremal functions exceed 2^`EXTREMAL_CAP`.
     """
+    _check_integers(n=n, budget=budget)
     if n < 0:
         raise ValueError("step count must be nonnegative")
+    n = int(n)  # a numpy integer would wrap in the (2^e)^n budget count
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     q, f = _checked_vectors(bounds, q, f)

@@ -9,6 +9,7 @@ import csv
 import time
 
 import numpy as np
+import pytest
 
 from conftest import random_weight
 from intervalwalk import (
@@ -210,6 +211,7 @@ def test_criterion_5_fixed_point_and_descent():
         crit.done()
 
 
+@pytest.mark.slow
 def test_criterion_6_extrema_census_trend(tmp_path):
     with _Criterion(6, "extrema census trend at scaled config", time_limit=1800.0) as crit:
         config = ExperimentConfig(instances=50, starts=300, seed=0)
@@ -236,6 +238,7 @@ def test_criterion_6_extrema_census_trend(tmp_path):
         crit.done()
 
 
+@pytest.mark.slow
 def test_criterion_7_deviation_curves(tmp_path):
     with _Criterion(7, "deviation curves dominate random starts", time_limit=1800.0) as crit:
         config = ExperimentConfig(cells=((8, 8),), instances=30, starts=500, seed=0)

@@ -28,7 +28,7 @@ from intervalwalk import (
     weight_from_selection,
 )
 from intervalwalk import optimize
-from intervalwalk.graph import _extremal_masks
+from intervalwalk.graph import _extremal_masks, _gradient_upper_mask
 from intervalwalk.optimize import _descents, _local_optimum, _random_starts
 from intervalwalk.oracle import BudgetExceededError
 from intervalwalk.rng import substream
@@ -224,6 +224,39 @@ class TestRandomExtremalSchedule:
             assert np.all(w.loop >= 0)
             assert selection_of(bounds, w) is not None
 
+    def test_zero_steps_is_empty(self, two_state):
+        assert random_extremal_schedule(two_state.bounds, 0, 5) == ()
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            pytest.param(True, 5, "n must be an integer, got True", id="n-bool"),
+            pytest.param(2.0, 5, "n must be an integer, got 2.0", id="n-float"),
+            pytest.param(2, 1.5, "seed must be an integer, got 1.5", id="seed-float"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, two_state, n, seed, message):
+        with pytest.raises(ValueError, match=message):
+            random_extremal_schedule(two_state.bounds, n, seed)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_no_free_edges_gives_empty_masks(self, two_state, n):
+        b = two_state.bounds
+        masks = optimize._random_upper_masks(IntervalBounds(b.lower, b.lower, b.marginal), n, substream(1))
+        assert masks.dtype == bool and masks.shape == (n, 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_masks_match_a_per_step_draw(self, n):
+        # each step draws its h ranking, then its f ranking, from the one stream
+        bounds, _, _ = generate_instance(GenParams(s=6, seed=4))
+        rng = substream(3, n)
+        expected = np.empty((n, len(bounds.free_edges)), dtype=bool)
+        for t in range(n):
+            h = rng.permutation(6).astype(float)
+            f = rng.permutation(6).astype(float)
+            expected[t] = _gradient_upper_mask(bounds, h, f)
+        np.testing.assert_array_equal(optimize._random_upper_masks(bounds, n, substream(3, n)), expected)
+
 
 class TestMultistart:
     def test_two_state_min_finds_both_basins(self, two_state):
@@ -257,6 +290,29 @@ class TestMultistart:
     def test_non_finite_vectors_rejected(self, two_state, q, f):
         with pytest.raises(ValueError, match="q and f must be finite"):
             OptimizationProblem(two_state.bounds, q, f, 2)
+
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_non_integer_steps_rejected(self, two_state, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            OptimizationProblem(two_state.bounds, two_state.q, two_state.f, n)
+
+    @pytest.mark.parametrize(
+        "starts, seed, message",
+        [
+            pytest.param(True, 0, "starts must be an integer, got True", id="starts-bool"),
+            pytest.param(3.0, 0, "starts must be an integer, got 3.0", id="starts-float"),
+            pytest.param(3, 1.5, "seed must be an integer, got 1.5", id="seed-float"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, two_state, starts, seed, message):
+        with pytest.raises(ValueError, match=message):
+            multistart(two_state_problem(two_state), starts, seed=seed)
+
+    def test_numpy_integers_accepted(self, two_state):
+        problem = two_state_problem(two_state, n=np.int64(2))
+        assert type(problem.n) is int and problem.n == 2
+        report = multistart(problem, np.int64(8), seed=np.uint32(1))
+        assert report == multistart(two_state_problem(two_state), 8, seed=1)
 
     def test_rejects_zero_starts(self, two_state):
         with pytest.raises(ValueError):

@@ -114,6 +114,26 @@ class TestExactBounds:
         with pytest.raises(ValueError):
             exact_bounds(two_state.bounds, two_state.q, two_state.f, -1)
 
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_non_integer_steps_rejected(self, two_state, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            exact_bounds(two_state.bounds, two_state.q, two_state.f, n)
+
+    @pytest.mark.parametrize("budget", [True, 4.5, "8"])
+    def test_non_integer_budget_rejected(self, two_state, budget):
+        with pytest.raises(ValueError, match=f"budget must be an integer, got {budget!r}"):
+            exact_bounds(two_state.bounds, two_state.q, two_state.f, 2, budget=budget)
+
+    def test_numpy_integer_steps_accepted(self, two_state):
+        res = exact_bounds(two_state.bounds, two_state.q, two_state.f, np.int64(2))
+        assert res == exact_bounds(two_state.bounds, two_state.q, two_state.f, 2)
+
+    def test_numpy_integer_steps_count_the_budget_exactly(self, monkeypatch):
+        # (2^3)^30 = 2^90 wraps to 0 in int64 arithmetic; the budget must still refuse
+        monkeypatch.setattr(oracle, "_transitions_from_masks", None)
+        with pytest.raises(BudgetExceededError, match="budget"):
+            exact_bounds(triangle_bounds(), [1, 0, 0], [0, 0, 1], np.int64(30), budget=100)
+
     @pytest.mark.parametrize(
         "q, f, message",
         [
