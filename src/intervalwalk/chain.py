@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import TOL, IntervalBounds, WeightFunction
+from .graph import TOL, IntervalBounds, WeightFunction, _check_integers
 
 #: An ordered per-step assignment of weight functions (possibly empty).
 Schedule = tuple[WeightFunction, ...]
@@ -73,9 +73,11 @@ def sequence_lower_probability(bounds: IntervalBounds, path: Sequence[int]) -> f
     contributes its smallest admissible weight (the interval lower bound on
     edges, the residual mass floor on loop steps), so the value equals the
     product of those weights over W times the interior marginals.  Invariant
-    under reversal of the path.
+    under reversal of the path.  State indices must be integers (numpy
+    integers count, bools do not).
     """
-    steps = [int(x) for x in path]
+    steps = list(path)
+    _check_integers(**{f"path[{i}]": x for i, x in enumerate(steps)})
     if len(steps) < 2:
         raise ValueError("a path needs at least two states")
     if any(x < 0 or x >= bounds.size for x in steps):

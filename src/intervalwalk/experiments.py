@@ -327,7 +327,7 @@ def _deviation_task(args):
 
     shuffle = substream(config.seed, _EXP_DEV, _ROLE_SHUFFLE, ci, inst).permutation(config.starts)
     # minimize sign * value; negation is exact, so MAX gives the same bits
-    sign = 1.0 if config.sense is Sense.MIN else -1.0
+    sign = config.sense.sign
     low = (sign * optimized_values).min()
     best = float(sign * low)
     dev_opt = (np.minimum.accumulate(sign * optimized_values[shuffle]) - low) / best * 100.0

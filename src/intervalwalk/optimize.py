@@ -39,6 +39,12 @@ class Sense(enum.Enum):
     MIN = "min"
     MAX = "max"
 
+    @property
+    def sign(self) -> float:
+        """1.0 for MIN, -1.0 for MAX: every problem is solved as the minimum
+        of sign·value and reported as sign times that minimum."""
+        return 1.0 if self is Sense.MIN else -1.0
+
 
 class SweepOrder(enum.Enum):
     LEFT_TO_RIGHT = "left-to-right"
@@ -47,7 +53,11 @@ class SweepOrder(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class OptimizationProblem:
-    """Bound the n-step expectation <q, T_w1 ... T_wn f> over admissible weights."""
+    """Bound the n-step expectation <q, T_w1 ... T_wn f> over admissible weights.
+
+    `sense` takes a `Sense` or its value, "min" or "max"; anything else
+    raises ValueError.
+    """
 
     bounds: IntervalBounds
     q: np.ndarray
@@ -63,6 +73,7 @@ class OptimizationProblem:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "sense", Sense(self.sense))
 
 
 @dataclass(frozen=True)
@@ -144,18 +155,20 @@ def improve_at(
     schedule = tuple(schedule)
     if len(schedule) != problem.n:
         raise ValueError(f"schedule has {len(schedule)} steps, problem wants {problem.n}")
+    _check_integers(k=k)
     if not 0 <= k < problem.n:
         raise IndexError(f"step index {k} out of range for {problem.n} steps")
     bounds = problem.bounds
     ql = problem.q
     for w in schedule[:k]:
         ql = forward_step(bounds, ql, w)
-    fr = problem.f if problem.sense is Sense.MIN else -problem.f
+    sign = problem.sense.sign
+    fr = sign * problem.f
     for w in reversed(schedule[k + 1 :]):
         fr = backward_step(bounds, w, fr)
     mask, _, value = _candidate(bounds, ql, fr)
     replacement = weight_from_selection(bounds, EdgeSelection.from_upper_mask(bounds, mask))
-    return replacement, (value if problem.sense is Sense.MIN else -value)
+    return replacement, sign * value
 
 
 def _candidate(bounds, ql, fr):
@@ -169,18 +182,21 @@ def _candidate(bounds, ql, fr):
 def _descend(problem, mats, masks, order) -> _Descent:
     """Sweep single-step replacements until a full pass changes nothing.
 
-    Minimizes <q, P_1 ... P_n f>, with f negated for MAX problems, and
-    accepts a replacement only when it gains more than TOL·max(1, |value|).
-    `mats` (transition matrices) and `masks` (endpoint masks, None while a
-    step is interior) are mutated in place.  Step k reads the prefix mass
-    before it and the suffix payoff after it.  The side the sweep walks away
-    from is rebuilt at the start of each sweep; the side it walks toward is
-    extended after each step, so neither is stale when read.  The result is
-    in the problem's own sense.
+    Minimizes <q, P_1 ... P_n sign·f> and accepts a replacement only when it
+    gains more than TOL·max(1, |value|).  A step whose mask is None (an
+    interior start step) takes its candidate on first visit: the objective
+    is linear in one step's weights, so in exact arithmetic the endpoint
+    candidate is never worse.  `mats` (transition matrices) and `masks` are
+    mutated in place.  Step k reads the prefix mass before it and the suffix
+    payoff after it.  The side the sweep walks away from is rebuilt at the
+    start of each sweep; the side it walks toward is extended after each
+    step, so neither is stale when read.  The result is in the problem's own
+    sense.
     """
     bounds = problem.bounds
     q = problem.q
-    f = problem.f if problem.sense is Sense.MIN else -problem.f
+    sign = problem.sense.sign
+    f = sign * problem.f
     n = len(mats)
     prefix = [q] * (n + 1)
     suffix = [f] * (n + 1)
@@ -199,15 +215,13 @@ def _descend(problem, mats, masks, order) -> _Descent:
         raise ValueError(f"order must be a SweepOrder, got {order!r}")
 
     def fold_value():
-        g = f
-        for p in reversed(mats):
-            g = p @ g
-        return float(q @ g)
+        for k in reversed(range(n)):
+            pull(k)
+        return float(q @ suffix[0])
 
     value = fold_value()
     trace = [value]
     sweeps = 0
-    improvements = 0
 
     while True:
         sweeps += 1
@@ -215,32 +229,20 @@ def _descend(problem, mats, masks, order) -> _Descent:
         for k in reversed(steps):
             rebuild(k)
         for k in steps:
-            ql, fr = prefix[k], suffix[k + 1]
-            mask, mat, v_new = _candidate(bounds, ql, fr)
-            threshold = TOL * max(1.0, abs(value))
-            if v_new < value - threshold:
-                mats[k], masks[k] = mat, mask
-                value = v_new
-                trace.append(value)
-                improvements += 1
-                changed = True
-            elif masks[k] is None and v_new <= value + threshold:
-                # pin an interior step to its equal-value extremal form
+            mask, mat, v_new = _candidate(bounds, prefix[k], suffix[k + 1])
+            better = v_new < value - TOL * max(1.0, abs(value))
+            if better or masks[k] is None:
                 mats[k], masks[k] = mat, mask
                 value = v_new
                 changed = True
+                if better:
+                    trace.append(value)
             advance(k)
         if not changed:
             break
 
-    value = fold_value()
-    for k, mask in enumerate(masks):
-        if mask is None:
-            raise RuntimeError(f"step {k} could not be pinned to an extremal function")
-    if problem.sense is Sense.MAX:
-        value = -value
-        trace = [-v for v in trace]
-    return _Descent(np.array(masks), value, trace[0], sweeps, improvements, tuple(trace))
+    trace = tuple(sign * v for v in trace)
+    return _Descent(np.array(masks), sign * fold_value(), trace[0], sweeps, len(trace) - 1, trace)
 
 
 def local_optimize(
@@ -252,9 +254,11 @@ def local_optimize(
 
     A replacement is accepted only when it beats the current objective by
     more than TOL·max(1, |value|), which rules out cycling among equal
-    extremal schedules and forces termination.  Interior (non-extremal) start
-    steps are pinned to an extremal function of no worse value on first
-    visit, so the result is always a schedule of extremal weight functions.
+    extremal schedules and forces termination.  An interior (non-extremal)
+    start step takes its one-step optimum on first visit, better or not, so
+    the result is always a schedule of extremal weight functions.  The
+    one-step optimum puts a zero-gradient edge at its upper endpoint, and a
+    MAX problem is solved as the MIN problem of -f.
     """
     start = tuple(start)
     if len(start) != problem.n:
@@ -288,9 +292,11 @@ def random_extremal_schedule(
     """A schedule of n independently sampled random extremal weight functions.
 
     Deterministic for an integer seed; pass a Generator to draw from an
-    existing stream.
+    existing stream.  A negative n raises ValueError.
     """
     _check_integers(n=n)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if not isinstance(seed, np.random.Generator):
         _check_integers(seed=seed)
         seed = rngmod.substream(seed)
@@ -311,8 +317,7 @@ def _census(sense: Sense, *streams) -> list[tuple[_Descent, list[int]]]:
     for column, runs in enumerate(streams):
         for run in runs:
             census.setdefault(run.masks.tobytes(), (run, [0] * len(streams)))[1][column] += 1
-    sign = -1.0 if sense is Sense.MAX else 1.0
-    ranked = sorted(census.items(), key=lambda item: (sign * item[1][0].value, item[0]))
+    ranked = sorted(census.items(), key=lambda item: (sense.sign * item[1][0].value, item[0]))
     return [entry for _, entry in ranked]
 
 

@@ -198,6 +198,23 @@ class TestSequenceLowerProbability:
         with pytest.raises(ValueError):
             sequence_lower_probability(two_state.bounds, [0, 5])
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            pytest.param([0, 1.7], "path\\[1\\] must be an integer, got 1.7", id="float"),
+            pytest.param([True, False], "path\\[0\\] must be an integer, got True", id="bool"),
+        ],
+    )
+    def test_non_integer_state_rejected(self, two_state, path, message):
+        with pytest.raises(ValueError, match=message):
+            sequence_lower_probability(two_state.bounds, path)
+
+    def test_numpy_integer_states_accepted(self, two_state):
+        path = np.array([0, 1, 0])
+        assert sequence_lower_probability(two_state.bounds, path) == sequence_lower_probability(
+            two_state.bounds, [0, 1, 0]
+        )
+
     def test_matches_full_enumeration_minimum(self):
         # independent route: minimize the joint path probability over every
         # combination of per-step extremal weight functions

@@ -14,6 +14,7 @@ from intervalwalk import (
     OptimizationProblem,
     Sense,
     SweepOrder,
+    WeightFunction,
     close,
     edge_gradient,
     expectation,
@@ -83,6 +84,24 @@ class TestImproveAt:
         problem = two_state_problem(two_state)
         with pytest.raises(IndexError):
             improve_at(problem, (two_state.w_up, two_state.w_up), 2)
+
+    @pytest.mark.parametrize(
+        "k, error",
+        [
+            pytest.param(True, ValueError, id="bool"),
+            pytest.param(1.0, ValueError, id="float"),
+            pytest.param(np.int64(1), None, id="numpy-int"),
+            pytest.param(-1, IndexError, id="negative"),
+        ],
+    )
+    def test_step_index_must_be_an_integer_in_range(self, two_state, k, error):
+        problem = two_state_problem(two_state)
+        schedule = (two_state.w_lo, two_state.w_lo)
+        if error is None:
+            assert improve_at(problem, schedule, k)[1] == improve_at(problem, schedule, 1)[1]
+        else:
+            with pytest.raises(error, match="k must be an integer" if error is ValueError else "out of range"):
+                improve_at(problem, schedule, k)
 
     def test_never_worsens(self):
         rng = np.random.default_rng(17)
@@ -204,6 +223,33 @@ class TestLocalOptimize:
         assert abs(result.value - result.start_value) <= 1e-12
 
 
+class TestSense:
+    def test_string_sense_matches_the_enum(self, two_state):
+        by_name = OptimizationProblem(two_state.bounds, two_state.q, two_state.f, 2, "max")
+        assert by_name.sense is Sense.MAX
+        report = multistart(by_name, 16, seed=0)
+        assert report == multistart(two_state_problem(two_state, Sense.MAX), 16, seed=0)
+        assert report.best.value == pytest.approx(0.74, abs=1e-12)
+
+    def test_unknown_sense_rejected(self, two_state):
+        with pytest.raises(ValueError, match="sideways"):
+            OptimizationProblem(two_state.bounds, two_state.q, two_state.f, 2, "sideways")
+
+
+class TestInteriorStart:
+    def test_rounding_noise_does_not_block_the_first_visit(self, two_state):
+        # f is constant, so in exact arithmetic every schedule is worth 0; at 3e15 the
+        # rounding noise of a fold exceeds TOL, and the interior start step
+        # must still take its one-step optimum
+        problem = OptimizationProblem(two_state.bounds, [1.0, -1.0], [3e15, 3e15], 1, Sense.MAX)
+        start = WeightFunction([[0.0, 0.3], [0.3, 0.0]], [0.7, 0.7])
+        assert selection_of(two_state.bounds, start) is None
+        result = local_optimize(problem, (start,))
+        assert len(result.selections) == 1
+        assert selection_of(two_state.bounds, result.schedule(two_state.bounds)[0]) is not None
+        assert result.improvements == len(result.trace) - 1
+
+
 class TestRandomExtremalSchedule:
     def test_steps_live_on_the_two_candidates(self, two_state):
         schedule = random_extremal_schedule(two_state.bounds, 8, 5)
@@ -226,6 +272,10 @@ class TestRandomExtremalSchedule:
 
     def test_zero_steps_is_empty(self, two_state):
         assert random_extremal_schedule(two_state.bounds, 0, 5) == ()
+
+    def test_negative_steps_rejected(self, two_state):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            random_extremal_schedule(two_state.bounds, -1, 5)
 
     @pytest.mark.parametrize(
         "n, seed, message",
