@@ -259,6 +259,38 @@ class WeightFunction:
         return _frozen_array(self.matrix.sum(axis=1))
 
 
+def _check_admissible(bounds: IntervalBounds, schedule) -> None:
+    """Raise ValueError, naming the step, unless every weight function of a
+    nonempty `schedule` is admissible for `bounds` to `TOL` (relative,
+    floored at 1): s x s with a symmetric off-diagonal, each edge weight
+    within its [lower, upper] (a fixed edge at its value), loops >= -TOL and
+    row sums W(x)."""
+    s = bounds.size
+    for k, w in enumerate(schedule):
+        if w.size != s:
+            raise ValueError(f"step {k} has {w.size} states, the bounds have {s}")
+
+    def widen(a):
+        return TOL * np.maximum(1.0, np.abs(a))
+
+    off = np.array([w.offdiag for w in schedule])
+    # the stored diagonal is not a weight (the loops hold that mass); zeroed,
+    # it passes the edge tests, as the bounds' diagonals are zero
+    off.reshape(len(off), -1)[:, :: s + 1] = 0.0
+    loops = np.array([w.loop for w in schedule])
+    lower, upper, marginal = bounds.lower, bounds.upper, bounds.marginal
+    # a NaN fails every test it enters
+    for ok, what in (
+        (np.abs(off - off.transpose(0, 2, 1)) <= widen(off), "an off-diagonal weight differs from its mirror"),
+        ((off >= lower - widen(lower)) & (off <= upper + widen(upper)), "an edge weight lies outside its interval"),
+        (loops >= -TOL, "a loop weight is negative"),
+        (np.abs(loops + off.sum(axis=2) - marginal) <= widen(marginal), "a row sum differs from the marginal W"),
+    ):
+        if not ok.all():
+            step = (~ok).reshape(len(ok), -1).any(axis=1).argmax()
+            raise ValueError(f"step {step} is not admissible: {what}")
+
+
 class ViolationCode(str, enum.Enum):
     SYMMETRY = "SYMMETRY"
     ORDER = "ORDER"

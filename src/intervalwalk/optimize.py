@@ -6,11 +6,17 @@ the mass pushed forward to k and the payoff folded backward to k.  Sweeping
 the step index until nothing improves yields a local optimum; multistart
 repeats the descent from many random extremal schedules and keeps the best
 fixed point found.
+
+One kernel, `_descend_chunk`, runs every descent: it sweeps a chunk of up to
+`_CHUNK` starts in lockstep through stacked products, and `local_optimize` is
+a chunk of one.  Each start's arithmetic is bit for bit that of a descent on
+its own, so no result depends on how the starts are chunked.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -23,6 +29,7 @@ from .graph import (
     EdgeSelection,
     IntervalBounds,
     WeightFunction,
+    _check_admissible,
     _check_integers,
     _checked_vectors,
     _extremal_masks,
@@ -150,7 +157,8 @@ def improve_at(
     optimizer between them.  Returns the replacement weight function and the
     objective value of the schedule with step k replaced, in the problem's
     sense.  By construction the returned value never loses to the current
-    schedule's value.
+    schedule's value.  Every step must be admissible for the problem's
+    bounds (ValueError naming the step otherwise).
     """
     schedule = tuple(schedule)
     if len(schedule) != problem.n:
@@ -159,6 +167,7 @@ def improve_at(
     if not 0 <= k < problem.n:
         raise IndexError(f"step index {k} out of range for {problem.n} steps")
     bounds = problem.bounds
+    _check_admissible(bounds, schedule)
     ql = problem.q
     for w in schedule[:k]:
         ql = forward_step(bounds, ql, w)
@@ -168,44 +177,60 @@ def improve_at(
         fr = backward_step(bounds, w, fr)
     mask, _, value = _candidate(bounds, ql, fr)
     replacement = weight_from_selection(bounds, EdgeSelection.from_upper_mask(bounds, mask))
-    return replacement, sign * value
+    return replacement, sign * float(value)
 
 
 def _candidate(bounds, ql, fr):
-    """Endpoint mask, transition matrix and value <ql, P fr> of the best step
-    between prefix mass `ql` and suffix payoff `fr`."""
-    mask = _gradient_upper_mask(bounds, ql / bounds.marginal, fr)
+    """Endpoint masks, transition matrices and values <ql, P fr> of the best
+    steps between prefix masses `ql` and suffix payoffs `fr`, one per row of
+    (..., s) stacks."""
+    # the gradient kernel indexes its first axis, so it takes (s, ...) stacks
+    mask = _gradient_upper_mask(bounds, (ql / bounds.marginal).T, fr.T).T
     mat = _transitions_from_masks(bounds, mask)
-    return mask, mat, float(ql @ (mat @ fr))
+    return mask, mat, np.vecdot(ql, np.matmul(mat, fr[..., None])[..., 0])
 
 
-def _descend(problem, mats, masks, order) -> _Descent:
-    """Sweep single-step replacements until a full pass changes nothing.
+#: Starts that `_descents` sweeps in lockstep.  At 20 states and 10 steps one
+#: chunk's transition stack is 8 MB.
+_CHUNK = 256
 
-    Minimizes <q, P_1 ... P_n sign·f> and accepts a replacement only when it
-    gains more than TOL·max(1, |value|).  A step whose mask is None (an
-    interior start step) takes its candidate on first visit: the objective
-    is linear in one step's weights, so in exact arithmetic the endpoint
-    candidate is never worse.  `mats` (transition matrices) and `masks` are
-    mutated in place.  Step k reads the prefix mass before it and the suffix
-    payoff after it.  The side the sweep walks away from is rebuilt at the
-    start of each sweep; the side it walks toward is extended after each
-    step, so neither is stale when read.  The result is in the problem's own
-    sense.
+
+def _descend_chunk(problem, masks, mats, pinned, order) -> list[_Descent]:
+    """Sweep single-step replacements on a chunk of starts in lockstep, until
+    each start has made a full pass that changes nothing; one `_Descent` per
+    start, in chunk order.
+
+    Takes (B, n, e) endpoint masks, the (B, n, s, s) transition matrices of
+    the start schedules and a (B, n) flag per step, False for a step not yet
+    pinned to its mask (an interior start step), and consumes all three.
+    Each start minimizes <q, P_1 ... P_n sign·f> and accepts a replacement
+    only when it gains more than TOL·max(1, |value|); a step not yet pinned
+    takes its candidate on first visit, better or not: the objective is
+    linear in one step's weights, so in exact arithmetic the endpoint
+    candidate is never worse.  Step k reads the prefix mass before it and the
+    suffix payoff after it, from (B, n + 1, s) stacks.  The side the sweep
+    walks away from is rebuilt at the start of each sweep; the side it walks
+    toward is extended after each step, so neither is stale when read.  A
+    start leaves the active set after a sweep with no change.  Every product
+    is a stacked np.matmul or np.vecdot, bit for bit the per-start `@`, so a
+    start's result does not depend on the chunk it runs in.  Results are in
+    the problem's own sense.
     """
     bounds = problem.bounds
     q = problem.q
     sign = problem.sense.sign
     f = sign * problem.f
-    n = len(mats)
-    prefix = [q] * (n + 1)
-    suffix = [f] * (n + 1)
+    count, n = pinned.shape
+    prefix = np.empty((count, n + 1, bounds.size))
+    suffix = np.empty_like(prefix)
+    prefix[:, 0] = q
+    suffix[:, n] = f
 
     def push(k):
-        prefix[k + 1] = prefix[k] @ mats[k]
+        prefix[:, k + 1] = np.matmul(prefix[:, k, None], mats[:, k])[:, 0]
 
     def pull(k):
-        suffix[k] = mats[k] @ suffix[k + 1]
+        suffix[:, k] = np.matmul(mats[:, k], suffix[:, k + 1, :, None])[..., 0]
 
     if order is SweepOrder.LEFT_TO_RIGHT:
         steps, rebuild, advance = range(n), pull, push
@@ -214,35 +239,51 @@ def _descend(problem, mats, masks, order) -> _Descent:
     else:
         raise ValueError(f"order must be a SweepOrder, got {order!r}")
 
-    def fold_value():
-        for k in reversed(range(n)):
-            pull(k)
-        return float(q @ suffix[0])
-
-    value = fold_value()
-    trace = [value]
+    for k in reversed(range(n)):
+        pull(k)
+    value = np.vecdot(q, suffix[:, 0])
+    traces = [[v] for v in value.tolist()]
+    active = np.arange(count)
+    out = [None] * count
     sweeps = 0
 
-    while True:
+    while active.size:
         sweeps += 1
-        changed = False
+        changed = np.zeros(active.size, dtype=bool)
         for k in reversed(steps):
             rebuild(k)
         for k in steps:
-            mask, mat, v_new = _candidate(bounds, prefix[k], suffix[k + 1])
-            better = v_new < value - TOL * max(1.0, abs(value))
-            if better or masks[k] is None:
-                mats[k], masks[k] = mat, mask
-                value = v_new
-                changed = True
-                if better:
-                    trace.append(value)
+            mask, mat, v_new = _candidate(bounds, prefix[:, k], suffix[:, k + 1])
+            better = v_new < value - TOL * np.maximum(1.0, np.abs(value))
+            take = better | ~pinned[:, k]
+            np.copyto(masks[:, k], mask, where=take[:, None])
+            np.copyto(mats[:, k], mat, where=take[:, None, None])
+            np.copyto(value, v_new, where=take)
+            pinned[:, k] = True
+            changed |= take
+            for i in better.nonzero()[0]:
+                traces[active[i]].append(float(v_new[i]))
             advance(k)
-        if not changed:
-            break
-
-    trace = tuple(sign * v for v in trace)
-    return _Descent(np.array(masks), sign * fold_value(), trace[0], sweeps, len(trace) - 1, trace)
+        done = (~changed).nonzero()[0]
+        # after a pass with no change, in either order, suffix[:, 0] is the
+        # fold of the final schedule from f, one pull per step
+        final = sign * np.vecdot(q, suffix[done, 0])
+        for i, final_value in zip(done, final.tolist()):
+            trace = tuple(sign * v for v in traces[active[i]])
+            out[active[i]] = _Descent(masks[i].copy(), final_value, trace[0], sweeps, len(trace) - 1, trace)
+        if done.size:
+            # the transition stack, the one large array, is compacted in
+            # place a few rows at a time, so no second stack is ever held;
+            # each kept row moves down, never onto a row still to be read
+            keep = changed.nonzero()[0]
+            for lo in range(0, keep.size, 16):
+                rows = keep[lo : lo + 16]
+                mats[lo : lo + rows.size] = mats[rows]
+            mats = mats[: keep.size]
+            active, value, masks, pinned, prefix, suffix = (
+                a[changed] for a in (active, value, masks, pinned, prefix, suffix)
+            )
+    return out
 
 
 def local_optimize(
@@ -252,24 +293,31 @@ def local_optimize(
 ) -> LocalOptimum:
     """Run replacement sweeps from `start` until a fixed point is reached.
 
-    A replacement is accepted only when it beats the current objective by
-    more than TOL·max(1, |value|), which rules out cycling among equal
-    extremal schedules and forces termination.  An interior (non-extremal)
-    start step takes its one-step optimum on first visit, better or not, so
-    the result is always a schedule of extremal weight functions.  The
-    one-step optimum puts a zero-gradient edge at its upper endpoint, and a
-    MAX problem is solved as the MIN problem of -f.
+    Every start step must be admissible for the problem's bounds (ValueError
+    naming the step otherwise).  A replacement is accepted only when it beats
+    the current objective by more than TOL·max(1, |value|), which rules out
+    cycling among equal extremal schedules and forces termination.  An
+    interior (non-extremal) start step is not yet pinned: it takes its
+    one-step optimum on first visit, better or not, so the result is always a
+    schedule of extremal weight functions.  The one-step optimum puts a
+    zero-gradient edge at its upper endpoint, and a MAX problem is solved as
+    the MIN problem of -f.  The descent is the multistart kernel run on a
+    chunk of one start.
     """
     start = tuple(start)
     if len(start) != problem.n:
         raise ValueError(f"start has {len(start)} steps, problem wants {problem.n}")
     bounds = problem.bounds
-    mats = [transition_matrix(bounds, w) for w in start]
-    masks = []
-    for w in start:
-        sel = selection_of(bounds, w)
-        masks.append(None if sel is None else sel.upper_mask())
-    return _local_optimum(bounds, _descend(problem, mats, masks, order))
+    _check_admissible(bounds, start)
+    selections = [selection_of(bounds, w) for w in start]
+    masks = np.zeros((1, problem.n, len(bounds.free_edges)), dtype=bool)
+    for k, sel in enumerate(selections):
+        if sel is not None:
+            masks[0, k] = sel.upper_mask()
+    pinned = np.array([[sel is not None for sel in selections]])
+    mats = np.array([[transition_matrix(bounds, w) for w in start]])
+    (run,) = _descend_chunk(problem, masks, mats, pinned, order)
+    return _local_optimum(bounds, run)
 
 
 def _random_upper_masks(bounds: IntervalBounds, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -280,7 +328,9 @@ def _random_upper_masks(bounds: IntervalBounds, n: int, rng: np.random.Generator
     selections a one-step optimization could ever produce.
     """
     s = bounds.size
-    ranks = np.array([rng.permutation(s) for _ in range(2 * n)], dtype=float).reshape(n, 2, s)
+    # one call for the 2n rankings: the same draws, in the same order, as 2n
+    # rng.permutation(s) calls, leaving the stream in the same state
+    ranks = rng.permuted(np.broadcast_to(np.arange(s, dtype=float), (2 * n, s)), axis=1).reshape(n, 2, s)
     # one kernel call for all steps; it indexes its first axis, so it takes
     # (s, n) rankings and returns (e, n) masks
     return _gradient_upper_mask(bounds, ranks[:, 0].T, ranks[:, 1].T).T
@@ -310,7 +360,7 @@ def _census(sense: Sense, *streams) -> list[tuple[_Descent, list[int]]]:
     Each entry is the first run to reach a distinct mask array and its hit
     count in each stream.  Entries are ranked by value in `sense`, ties by
     mask bytes, which sort like the per-step choices (LOWER first, first step
-    most significant).  A value depends only on the masks, since `_descend`
+    most significant).  A value depends only on the masks, since `_descend_chunk`
     refolds it from them, so the first run stands for every run of its key.
     """
     census: dict[bytes, tuple[_Descent, list[int]]] = {}
@@ -341,10 +391,13 @@ def _random_starts(problem, starts, seed):
 
 
 def _descents(problem, start_masks, order):
-    """Lazily, the `_Descent` reached from each (n, e) start mask array."""
-    for masks in start_masks:
-        mats = list(_transitions_from_masks(problem.bounds, masks))
-        yield _descend(problem, mats, list(masks), order)
+    """Lazily, in start order, the `_Descent` reached from each (n, e) start
+    mask array; the starts are descended `_CHUNK` at a time."""
+    starts = iter(start_masks)
+    while chunk := list(itertools.islice(starts, _CHUNK)):
+        masks = np.array(chunk, dtype=bool)
+        mats = _transitions_from_masks(problem.bounds, masks)
+        yield from _descend_chunk(problem, masks, mats, np.ones(masks.shape[:2], dtype=bool), order)
 
 
 def multistart(

@@ -222,7 +222,7 @@ class TestDeviationCurves:
         def no_descent(*args):
             raise AssertionError("descended a refused instance")
 
-        monkeypatch.setattr(optimize, "_descend", no_descent)
+        monkeypatch.setattr(optimize, "_descend_chunk", no_descent)
         config = small_config(cells=((2, 2),), instances=1, starts=4)
         for q, f in (([-1.0, 0.0], [0.0, 1.0]), ([1.0, 0.0], [0.0, -1.0])):
             instance = (two_state.bounds, np.array(q), np.array(f))

@@ -25,12 +25,13 @@ from intervalwalk import (
     multistart_exhaustive,
     random_extremal_schedule,
     selection_of,
+    transition_matrix,
     validate,
     weight_from_selection,
 )
 from intervalwalk import optimize
-from intervalwalk.graph import _extremal_masks, _gradient_upper_mask
-from intervalwalk.optimize import _descents, _local_optimum, _random_starts
+from intervalwalk.graph import TOL, _extremal_masks, _gradient_upper_mask, _transitions_from_masks
+from intervalwalk.optimize import _Descent, _descents, _local_optimum, _random_starts
 from intervalwalk.oracle import BudgetExceededError
 from intervalwalk.rng import substream
 
@@ -250,6 +251,43 @@ class TestInteriorStart:
         assert result.improvements == len(result.trace) - 1
 
 
+class TestInadmissibleStart:
+    """Start steps must be admissible weight functions of the problem's bounds."""
+
+    @pytest.mark.parametrize(
+        "offdiag, loop, message",
+        [
+            pytest.param([[0.0, 5.0], [5.0, 0.0]], [0.0, 0.0], "outside its interval", id="above-upper"),
+            pytest.param([[0.0, 0.1], [0.1, 0.0]], [0.9, 0.9], "outside its interval", id="below-lower"),
+            pytest.param([[0.0, 0.3], [0.4, 0.0]], [0.7, 0.6], "differs from its mirror", id="asymmetric"),
+            pytest.param([[0.0, 0.5], [0.5, 0.0]], [0.2, 0.2], "row sum differs", id="row-sums"),
+            pytest.param(np.full((3, 3), 0.3), [0.4, 0.4, 0.4], "has 3 states, the bounds have 2", id="size"),
+        ],
+    )
+    @pytest.mark.parametrize("call", ["local_optimize", "improve_at"])
+    def test_rejected_naming_the_step(self, two_state, offdiag, loop, message, call):
+        problem = two_state_problem(two_state, Sense.MAX)
+        start = (two_state.w_up, WeightFunction(offdiag, loop))
+        with pytest.raises(ValueError, match=f"step 1 .*{message}"):
+            if call == "local_optimize":
+                local_optimize(problem, start)
+            else:
+                improve_at(problem, start, 0)
+
+    def test_negative_loop_rejected(self):
+        # the row sums are right, but the loop pays for an edge above W
+        bounds = IntervalBounds([[0.0, 1.0], [1.0, 0.0]], [[0.0, 3.0], [3.0, 0.0]], [2.0, 2.0])
+        problem = OptimizationProblem(bounds, [1.0, 0.0], [0.0, 1.0], 1)
+        start = (WeightFunction([[0.0, 2.5], [2.5, 0.0]], [-0.5, -0.5]),)
+        with pytest.raises(ValueError, match="step 0 .*loop weight is negative"):
+            local_optimize(problem, start)
+
+    def test_rounding_within_tol_accepted(self, two_state):
+        problem = two_state_problem(two_state, n=1)
+        start = (WeightFunction([[0.0, 0.9 + 1e-13], [0.9 + 1e-13, 0.0]], [0.1, 0.1]),)
+        assert local_optimize(problem, start).start_value == pytest.approx(0.9, abs=1e-12)
+
+
 class TestRandomExtremalSchedule:
     def test_steps_live_on_the_two_candidates(self, two_state):
         schedule = random_extremal_schedule(two_state.bounds, 8, 5)
@@ -306,6 +344,25 @@ class TestRandomExtremalSchedule:
             f = rng.permutation(6).astype(float)
             expected[t] = _gradient_upper_mask(bounds, h, f)
         np.testing.assert_array_equal(optimize._random_upper_masks(bounds, n, substream(3, n)), expected)
+
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_stream_left_as_after_per_step_draws(self, n):
+        bounds, _, _ = generate_instance(GenParams(s=6, seed=4))
+        drawn, expected = substream(5, n), substream(5, n)
+        optimize._random_upper_masks(bounds, n, drawn)
+        for _ in range(2 * n):
+            expected.permutation(6)
+        assert drawn.random() == expected.random()
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_schedule_from_a_generator_leaves_the_stream_after_its_draws(self, n):
+        bounds, _, _ = generate_instance(GenParams(s=5, seed=8))
+        drawn, expected = substream(6, n), substream(6, n)
+        random_extremal_schedule(bounds, n, drawn)
+        for _ in range(2 * n):
+            expected.permutation(5)
+        assert drawn.random() == expected.random()
 
 
 class TestMultistart:
@@ -423,6 +480,129 @@ class TestDescents:
                     start = random_extremal_schedule(bounds, problem.n, substream(17, idx))
                     assert run.masks.shape == (problem.n, len(bounds.free_edges))
                     assert _local_optimum(bounds, run) == local_optimize(problem, start, order)
+
+
+def reference_descend(problem, mats, masks, order):
+    """The per-start descent the lockstep kernel replaced, kept as its
+    reference: one start, one step at a time, every product a plain `@`.
+    A step whose mask is None (an interior start step) takes its candidate
+    on first visit."""
+    bounds = problem.bounds
+    q = problem.q
+    sign = problem.sense.sign
+    f = sign * problem.f
+    n = len(mats)
+    prefix = [q] * (n + 1)
+    suffix = [f] * (n + 1)
+
+    def push(k):
+        prefix[k + 1] = prefix[k] @ mats[k]
+
+    def pull(k):
+        suffix[k] = mats[k] @ suffix[k + 1]
+
+    if order is SweepOrder.LEFT_TO_RIGHT:
+        steps, rebuild, advance = range(n), pull, push
+    else:
+        steps, rebuild, advance = range(n - 1, -1, -1), push, pull
+
+    def fold_value():
+        for k in reversed(range(n)):
+            pull(k)
+        return float(q @ suffix[0])
+
+    value = fold_value()
+    trace = [value]
+    sweeps = 0
+    while True:
+        sweeps += 1
+        changed = False
+        for k in reversed(steps):
+            rebuild(k)
+        for k in steps:
+            ql, fr = prefix[k], suffix[k + 1]
+            mask = _gradient_upper_mask(bounds, ql / bounds.marginal, fr)
+            mat = _transitions_from_masks(bounds, mask)
+            v_new = float(ql @ (mat @ fr))
+            better = v_new < value - TOL * max(1.0, abs(value))
+            if better or masks[k] is None:
+                mats[k], masks[k] = mat, mask
+                value = v_new
+                changed = True
+                if better:
+                    trace.append(value)
+            advance(k)
+        if not changed:
+            break
+    trace = tuple(sign * v for v in trace)
+    return _Descent(np.array(masks), sign * fold_value(), trace[0], sweeps, len(trace) - 1, trace)
+
+
+def assert_same_descent(run, ref):
+    """Field for field, with no tolerance."""
+    assert np.array_equal(run.masks, ref.masks) and run.masks.dtype == ref.masks.dtype
+    assert run[1:] == ref[1:]
+    assert all(type(v) is float for v in (run.value, run.start_value, *run.trace))
+
+
+class TestLockstepKernel:
+    @pytest.mark.parametrize("vertices", [3, 5, 8, 12])
+    def test_matches_the_per_start_reference(self, vertices):
+        rng = np.random.default_rng(vertices)
+        for seed in range(3):
+            bounds, q, f = generate_instance(GenParams(s=vertices, seed=500 + seed))
+            n = int(rng.integers(1, 7))
+            for sense in Sense:
+                problem = OptimizationProblem(bounds, q, f, n, sense)
+                starts = list(_random_starts(problem, 12, seed))
+                for order in SweepOrder:
+                    runs = list(_descents(problem, starts, order))
+                    assert len(runs) == len(starts)
+                    for masks, run in zip(starts, runs):
+                        mats = list(_transitions_from_masks(bounds, masks))
+                        assert_same_descent(run, reference_descend(problem, mats, list(masks), order))
+
+    @pytest.mark.parametrize("order", list(SweepOrder))
+    def test_interior_starts_match_the_per_start_reference(self, order):
+        rng = np.random.default_rng(41)
+        for seed in range(8):
+            bounds, q, f = generate_instance(GenParams(s=int(rng.integers(3, 7)), seed=600 + seed))
+            n = int(rng.integers(1, 5))
+            problem = OptimizationProblem(bounds, q, f, n, Sense.MAX if seed % 2 else Sense.MIN)
+            extremal = random_extremal_schedule(bounds, n, seed)
+            start = tuple(random_weight(bounds, rng) if k % 2 == 0 else w for k, w in enumerate(extremal))
+            masks = [None if k % 2 == 0 else selection_of(bounds, w).upper_mask() for k, w in enumerate(start)]
+            mats = [transition_matrix(bounds, w) for w in start]
+            ref = reference_descend(problem, mats, masks, order)
+            assert local_optimize(problem, start, order) == _local_optimum(bounds, ref)
+
+    @pytest.mark.parametrize("starts", [1, 7, optimize._CHUNK + 1])
+    def test_chunking_changes_nothing(self, monkeypatch, starts):
+        bounds, q, f = generate_instance(GenParams(s=5, seed=7))
+        problem = OptimizationProblem(bounds, q, f, 3, Sense.MAX)
+        default = optimize._CHUNK
+        outputs = []
+        for chunk in (1, 3, default):
+            monkeypatch.setattr(optimize, "_CHUNK", chunk)
+            runs = list(_descents(problem, _random_starts(problem, starts, 4), SweepOrder.RIGHT_TO_LEFT))
+            outputs.append((runs, multistart(problem, starts, seed=4)))
+        (first, report), *rest = outputs
+        assert len(first) == starts
+        for runs, other in rest:
+            for run, ref in zip(runs, first, strict=True):
+                assert_same_descent(run, ref)
+            assert other == report
+
+    def test_exhaustive_over_several_chunks(self, monkeypatch):
+        # 3 free edges over 3 steps: 512 starts, two default chunks
+        bounds, q, f = generate_instance(GenParams(s=3, seed=1, disconnect_fraction=0.0))
+        problem = OptimizationProblem(bounds, q, f, 3)
+        assert (1 << len(bounds.free_edges)) ** problem.n > optimize._CHUNK
+        reports = []
+        for chunk in (1, 3, optimize._CHUNK):
+            monkeypatch.setattr(optimize, "_CHUNK", chunk)
+            reports.append(multistart_exhaustive(problem))
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestMultistartExhaustive:
