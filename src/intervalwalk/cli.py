@@ -240,13 +240,14 @@ def _add_strategy(sub: argparse.ArgumentParser, **kwargs) -> None:
     sub.add_argument("--strategy", choices=[o.value for o in SweepOrder], **kwargs)
 
 
-def _add_experiment_args(sub: argparse.ArgumentParser, strategy: bool) -> None:
+def _add_experiment_args(sub: argparse.ArgumentParser, sense: bool, strategy: bool) -> None:
     sub.add_argument("--config", help="JSON experiment config file")
     sub.add_argument("--cells", help="grid cells as VERTICESxSTEPS[,...], e.g. 4x2,6x4")
     sub.add_argument("--instances", type=int, help="instances per cell")
     sub.add_argument("--starts", type=int, help="starts per instance")
     sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--sense", choices=["min", "max"], help="optimization sense")
+    if sense:
+        sub.add_argument("--sense", choices=["min", "max"], help="optimization sense")
     if strategy:
         _add_strategy(sub, help="sweep order for the local optimizer")
     sub.add_argument("--out", default="results", help="output directory")
@@ -290,9 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, runner, base, blurb in _EXPERIMENTS:
         p = sub.add_parser(name, help=blurb)
+        # the census and the sweep comparison always run both senses, and
         # the sweep comparison always runs both orders
-        _add_experiment_args(p, strategy=runner is not run_sweep_comparison)
-        p.set_defaults(func=_run_experiment, runner=runner, base=base, strategy=None)
+        _add_experiment_args(
+            p,
+            sense=runner not in (run_extrema_count, run_sweep_comparison),
+            strategy=runner is not run_sweep_comparison,
+        )
+        p.set_defaults(func=_run_experiment, runner=runner, base=base, sense=None, strategy=None)
 
     return parser
 

@@ -227,7 +227,7 @@ def _sweep_task(args):
     rows = []
     fractions = {}
     for problem, seed in _problems(config, _EXP_SWEEP, ci, inst, Sense):
-        starts = list(_random_starts(problem, config.starts, seed))
+        starts = _random_starts(problem, config.starts, seed)
         lr = list(_descents(problem, starts, SweepOrder.LEFT_TO_RIGHT))
         rl = list(_descents(problem, starts, SweepOrder.RIGHT_TO_LEFT))
         disagreements = sum(not np.array_equal(a.masks, b.masks) for a, b in zip(lr, rl))

@@ -521,8 +521,8 @@ def edge_gradient(bounds: IntervalBounds, q, f) -> np.ndarray:
     edge {x, y} and taken off the two incident loops:
     (q(x)/W(x) - q(y)/W(y)) * (f(y) - f(x)).  Symmetric, zero diagonal.
     """
-    h = np.asarray(q, dtype=float) / bounds.marginal
-    f = np.asarray(f, dtype=float)
+    q, f = _checked_vectors(bounds, q, f)
+    h = q / bounds.marginal
     return (h[:, None] - h[None, :]) * (f[None, :] - f[:, None])
 
 
@@ -540,8 +540,7 @@ def one_step_minimizer(bounds: IntervalBounds, q, f) -> tuple[WeightFunction, Ed
     all others at the upper bound; ties (zero gradient) deterministically go
     to the upper bound.
     """
-    q = np.asarray(q, dtype=float)
-    f = np.asarray(f, dtype=float)
+    q, f = _checked_vectors(bounds, q, f)
     mask = _gradient_upper_mask(bounds, q / bounds.marginal, f)
     selection = EdgeSelection.from_upper_mask(bounds, mask)
     return weight_from_selection(bounds, selection), selection
@@ -552,8 +551,11 @@ def selection_of(bounds: IntervalBounds, w: WeightFunction) -> EdgeSelection | N
 
     Returns None when any free edge weight sits strictly inside its interval,
     i.e. the function is not extremal.  Comparison is relative to `TOL` with
-    an absolute floor of 1.
+    an absolute floor of 1.  A `w` of another size than `bounds` raises
+    ValueError.
     """
+    if w.size != bounds.size:
+        raise ValueError(f"weight function has {w.size} states, the bounds have {bounds.size}")
     i, j = bounds._free_idx
     vals = w.offdiag[i, j]
     scale = np.maximum(1.0, np.abs(vals))

@@ -7,16 +7,19 @@ the step index until nothing improves yields a local optimum; multistart
 repeats the descent from many random extremal schedules and keeps the best
 fixed point found.
 
-One kernel, `_descend_chunk`, runs every descent: it sweeps a chunk of up to
-`_CHUNK` starts in lockstep through stacked products, and `local_optimize` is
-a chunk of one.  Each start's arithmetic is bit for bit that of a descent on
-its own, so no result depends on how the starts are chunked.
+A batch of starts is one (S, n, e) array of endpoint masks, S starts of n
+steps over e free edges: `multistart` draws all of its starts into one, and
+`multistart_exhaustive` passes its table of every schedule.  `_descents`
+slices such an array `_CHUNK` rows at a time, and one kernel,
+`_descend_chunk`, runs every descent: it sweeps a chunk in lockstep through
+stacked products, and `local_optimize` is a chunk of one.  Each start's
+arithmetic is bit for bit that of a descent on its own, so no result depends
+on how the starts are chunked.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -371,31 +374,35 @@ def _census(sense: Sense, *streams) -> list[tuple[_Descent, list[int]]]:
     return [entry for _, entry in ranked]
 
 
-def _aggregate(problem, runs, starts, seed) -> MultistartReport:
-    """The census of one descent stream as a report; `best` is the first run
-    to reach the best key.  Selections are built once per distinct fixed point."""
-    census = _census(problem.sense, runs)
+def _aggregate(problem, starts, order, seed) -> MultistartReport:
+    """Descend every row of `starts`, an (S, n, e) endpoint mask array, in
+    `order`, and report the census of the fixed points reached; `best` is the
+    first run to reach the best key.  Selections are built once per distinct
+    fixed point."""
+    census = _census(problem.sense, _descents(problem, starts, order))
     unique = tuple(
         (_selections_from_masks(problem.bounds, run.masks), run.value, hits) for run, (hits,) in census
     )
     best = LocalOptimum(unique[0][0], *census[0][0][1:])
-    return MultistartReport(best, unique, starts, seed)
+    return MultistartReport(best, unique, len(starts), seed)
 
 
-def _random_starts(problem, starts, seed):
-    """Lazily, the (n, e) endpoint masks of `starts` random extremal
-    schedules.  Start `idx` draws from substream (seed, idx), so the starts do
-    not depend on how, or in what order, they are descended."""
-    for idx in range(starts):
-        yield _random_upper_masks(problem.bounds, problem.n, rngmod.substream(seed, idx))
+def _random_starts(problem, starts, seed) -> np.ndarray:
+    """The endpoint masks of `starts` random extremal schedules, as one
+    (starts, n, e) array.  Row `idx` draws from substream (seed, idx), so no
+    start depends on how many others are drawn or how they are descended."""
+    return np.array(
+        [_random_upper_masks(problem.bounds, problem.n, rngmod.substream(seed, idx)) for idx in range(starts)]
+    )
 
 
-def _descents(problem, start_masks, order):
-    """Lazily, in start order, the `_Descent` reached from each (n, e) start
-    mask array; the starts are descended `_CHUNK` at a time."""
-    starts = iter(start_masks)
-    while chunk := list(itertools.islice(starts, _CHUNK)):
-        masks = np.array(chunk, dtype=bool)
+def _descents(problem, starts, order):
+    """Lazily, in start order, the `_Descent` reached from each row of
+    `starts`, an (S, n, e) endpoint mask array or a list of (n, e) rows.  The
+    rows are descended `_CHUNK` at a time, each chunk copied, since the
+    kernel consumes its masks, so `starts` can be descended again."""
+    for lo in range(0, len(starts), _CHUNK):
+        masks = np.array(starts[lo : lo + _CHUNK], dtype=bool)
         mats = _transitions_from_masks(problem.bounds, masks)
         yield from _descend_chunk(problem, masks, mats, np.ones(masks.shape[:2], dtype=bool), order)
 
@@ -414,8 +421,7 @@ def multistart(
     _check_integers(starts=starts, seed=seed)
     if starts < 1:
         raise ValueError("need at least one start")
-    runs = _descents(problem, _random_starts(problem, starts, seed), order)
-    return _aggregate(problem, runs, starts, seed)
+    return _aggregate(problem, _random_starts(problem, starts, seed), order, int(seed))
 
 
 def multistart_exhaustive(problem: OptimizationProblem) -> MultistartReport:
@@ -436,4 +442,4 @@ def multistart_exhaustive(problem: OptimizationProblem) -> MultistartReport:
             f"{total} starts, over the budget of {EXHAUSTIVE_BUDGET}"
         )
     starts = _extremal_masks(e * problem.n).reshape(total, problem.n, e)
-    return _aggregate(problem, _descents(problem, starts, SweepOrder.LEFT_TO_RIGHT), total, None)
+    return _aggregate(problem, starts, SweepOrder.LEFT_TO_RIGHT, None)

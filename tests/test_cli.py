@@ -322,6 +322,16 @@ class TestExperimentCommands:
         assert "unrecognized arguments: --strategy" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["exp-count", "exp-sweep"])
+    def test_both_sense_runners_take_no_sense(self, tmp_path, capsys, command):
+        # the census and the sweep comparison always run both senses
+        args = ["--cells", "3x2", "--instances", "1", "--starts", "2", "--sense", "max"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sense" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["exp-count", "--config", str(missing), "--out", str(tmp_path / "r")]) == 2

@@ -266,9 +266,31 @@ class TestOneStepMinimizer:
                 assert best <= expectation(bounds, q, (w,), f) + 1e-12
 
 
+@pytest.mark.parametrize("call", [edge_gradient, one_step_minimizer])
+@pytest.mark.parametrize(
+    "q, f, message",
+    [
+        pytest.param([float("nan"), 0.0], [0.0, 1.0], "q and f must be finite", id="nan-q"),
+        pytest.param([1.0, 0.0], [0.0, float("inf")], "q and f must be finite", id="inf-f"),
+        pytest.param([1.0, 0.0, 0.0], [0.0, 1.0], "q and f must be vectors of length 2", id="long-q"),
+        pytest.param([1.0, 0.0], [[0.0, 1.0]], "q and f must be vectors of length 2", id="matrix-f"),
+    ],
+)
+def test_one_step_vectors_checked(two_state, call, q, f, message):
+    with pytest.raises(ValueError, match=message):
+        call(two_state.bounds, q, f)
+
+
 class TestSelectionOf:
     def test_recovers_upper(self, two_state):
         assert selection_of(two_state.bounds, two_state.w_up).choices == (EdgeChoice.UPPER,)
+
+    def test_foreign_size_rejected(self, two_state):
+        # its (0, 1) weight alone would read as the upper endpoint
+        offdiag = [[0.0, 0.9, 0.0], [0.9, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        w = WeightFunction(offdiag, [0.1, 0.1, 1.0])
+        with pytest.raises(ValueError, match="weight function has 3 states, the bounds have 2"):
+            selection_of(two_state.bounds, w)
 
     def test_interior_weight_is_not_extremal(self, two_state):
         w = WeightFunction([[0.0, 0.55], [0.55, 0.0]], [0.45, 0.45])

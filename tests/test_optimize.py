@@ -1,6 +1,7 @@
 """Local descent sweeps, random extremal schedules, and multistart search."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -421,6 +422,11 @@ class TestMultistart:
         report = multistart(problem, np.int64(8), seed=np.uint32(1))
         assert report == multistart(two_state_problem(two_state), 8, seed=1)
 
+    def test_numpy_seed_reported_as_int(self, two_state):
+        report = multistart(two_state_problem(two_state), 5, np.int64(3))
+        assert type(report.seed) is int and report.seed == 3
+        assert json.dumps(report.seed) == "3"
+
     def test_rejects_zero_starts(self, two_state):
         with pytest.raises(ValueError):
             multistart(two_state_problem(two_state), 0, seed=0)
@@ -465,6 +471,16 @@ class TestMultistart:
 
 
 class TestDescents:
+    @pytest.mark.parametrize("starts", [1, 7, optimize._CHUNK + 1])
+    def test_random_starts_are_one_array_of_per_start_draws(self, starts):
+        bounds, q, f = generate_instance(GenParams(s=5, seed=3))
+        problem = OptimizationProblem(bounds, q, f, 4)
+        table = _random_starts(problem, starts, 8)
+        assert isinstance(table, np.ndarray) and table.dtype == bool
+        assert table.shape == (starts, problem.n, len(bounds.free_edges))
+        for idx, row in enumerate(table):
+            np.testing.assert_array_equal(row, optimize._random_upper_masks(bounds, problem.n, substream(8, idx)))
+
     @pytest.mark.parametrize("vertices", [3, 4, 5, 6])
     def test_matches_local_optimize_from_sampled_schedules(self, vertices):
         # the mask path, reported through the boundary builder, must reach
@@ -580,12 +596,14 @@ class TestLockstepKernel:
     def test_chunking_changes_nothing(self, monkeypatch, starts):
         bounds, q, f = generate_instance(GenParams(s=5, seed=7))
         problem = OptimizationProblem(bounds, q, f, 3, Sense.MAX)
-        default = optimize._CHUNK
+        table = _random_starts(problem, starts, 4)
         outputs = []
-        for chunk in (1, 3, default):
+        for chunk in (1, 3, optimize._CHUNK):
             monkeypatch.setattr(optimize, "_CHUNK", chunk)
-            runs = list(_descents(problem, _random_starts(problem, starts, 4), SweepOrder.RIGHT_TO_LEFT))
-            outputs.append((runs, multistart(problem, starts, seed=4)))
+            # the array and the list of its rows are the same batch
+            for batch in (table, list(table)):
+                runs = list(_descents(problem, batch, SweepOrder.RIGHT_TO_LEFT))
+                outputs.append((runs, multistart(problem, starts, seed=4)))
         (first, report), *rest = outputs
         assert len(first) == starts
         for runs, other in rest:
