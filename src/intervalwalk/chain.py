@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import TOL, IntervalBounds, WeightFunction, _check_integers
+from .graph import TOL, IntervalBounds, WeightFunction, _check_integers, _checked_vectors
 
 #: An ordered per-step assignment of weight functions (possibly empty).
 Schedule = tuple[WeightFunction, ...]
@@ -23,24 +23,31 @@ def transition_matrix(bounds: IntervalBounds, w: WeightFunction) -> np.ndarray:
 
 
 def backward_step(bounds: IntervalBounds, w: WeightFunction, f) -> np.ndarray:
-    """Expected payoff one step ahead: (T_w f)(x) = sum_y P(x, y) f(y)."""
-    return transition_matrix(bounds, w) @ np.asarray(f, dtype=float)
+    """Expected payoff one step ahead: (T_w f)(x) = sum_y P(x, y) f(y).
+
+    `f` must hold one finite number per state (ValueError otherwise)."""
+    (f,) = _checked_vectors(bounds, f=f)
+    return transition_matrix(bounds, w) @ f
 
 
 def forward_step(bounds: IntervalBounds, q, w: WeightFunction) -> np.ndarray:
-    """Push a mass function one step forward: (q T_w)(y) = sum_x q(x) P(x, y)."""
-    return np.asarray(q, dtype=float) @ transition_matrix(bounds, w)
+    """Push a mass function one step forward: (q T_w)(y) = sum_x q(x) P(x, y).
+
+    `q` must hold one finite number per state (ValueError otherwise)."""
+    (q,) = _checked_vectors(bounds, q=q)
+    return q @ transition_matrix(bounds, w)
 
 
 def expectation(bounds: IntervalBounds, q, schedule: Sequence[WeightFunction], f) -> float:
     """n-step expectation <q, T_w1 ... T_wn f>; the empty schedule gives <q, f>.
 
     Folds from the right: n matrix-vector products, then one dot product.
+    `q` and `f` must hold one finite number per state (ValueError otherwise).
     """
-    g = np.asarray(f, dtype=float)
+    q, g = _checked_vectors(bounds, q=q, f=f)
     for w in reversed(tuple(schedule)):
         g = transition_matrix(bounds, w) @ g
-    return float(np.asarray(q, dtype=float) @ g)
+    return float(q @ g)
 
 
 def stationary_distribution(bounds: IntervalBounds) -> np.ndarray:

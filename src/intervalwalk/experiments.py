@@ -139,6 +139,12 @@ def _write_outputs(
 
 
 def _map_tasks(func, tasks, threads: int):
+    """`func` over `tasks`, in order, on at most `threads` worker processes
+    (and no more than the CPU count); a `threads` that is not an integer
+    of at least 1 raises ValueError."""
+    _check_integers(threads=threads)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         return [func(task) for task in tasks]

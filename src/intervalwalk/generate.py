@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import IntervalBounds, _check_integers, connected_components
+from .graph import IntervalBounds, _check_integers, _check_seed, connected_components
 from .rng import exponential, substream
 
 #: Attempts at a connected adjacency before giving up.
@@ -54,14 +54,13 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(s=self.s, seed=self.seed)
+        _check_integers(s=self.s)
+        _check_seed(self.seed)
         for name in _REAL_FIELDS:
             if not _is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.s < 2:
             raise ValueError("need at least two vertices")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.disconnect_fraction < 1.0:
             raise ValueError("disconnect_fraction must be in [0, 1)")
         for name in _REAL_FIELDS[1:]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,10 +26,20 @@ def close(a: float, b: float) -> bool:
     return abs(a - b) <= TOL * max(1.0, abs(a), abs(b))
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def _float_array(name: str, values) -> np.ndarray:
+    """`values` as a read-only float array; ValueError naming `name` when numpy
+    cannot read them as numbers (ragged lists, strings, dicts, an integer too
+    large for a float)."""
+    try:
+        return _frozen_array(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} is not an array of numbers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -38,6 +49,8 @@ class StateSpace:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.labels, str) or not isinstance(self.labels, Iterable):
+            raise ValueError(f"states must be a list of labels, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         if len(self.labels) < 2:
             raise ValueError("a state space needs at least two states")
@@ -62,9 +75,9 @@ class IntervalBounds:
 
     `lower` and `upper` are s x s matrices with zero diagonals; `marginal` is
     the fixed per-state weight sum W(x).  Construction checks shapes and the
-    stored form only (square, finite, zero diagonal); the semantic model
-    constraints are checked by :func:`validate`, which can therefore report
-    every violation instead of refusing to build the object.
+    stored form only (numbers, square, finite, zero diagonal); the semantic
+    model constraints are checked by :func:`validate`, which can therefore
+    report every violation instead of refusing to build the object.
     """
 
     lower: np.ndarray
@@ -72,9 +85,9 @@ class IntervalBounds:
     marginal: np.ndarray
 
     def __post_init__(self):
-        lower = np.array(self.lower, dtype=float)
-        upper = np.array(self.upper, dtype=float)
-        marginal = np.array(self.marginal, dtype=float)
+        lower = _float_array("lower", self.lower)
+        upper = _float_array("upper", self.upper)
+        marginal = _float_array("marginal", self.marginal)
         if lower.ndim != 2 or lower.shape[0] != lower.shape[1]:
             raise ValueError(f"lower must be a square matrix, got shape {lower.shape}")
         if upper.shape != lower.shape:
@@ -92,8 +105,6 @@ class IntervalBounds:
                 raise ValueError(f"{name} contains non-finite entries")
         if np.any(np.diag(lower) != 0.0) or np.any(np.diag(upper) != 0.0):
             raise ValueError("loop weights are derived; store zeros on the diagonal")
-        for arr in (lower, upper, marginal):
-            arr.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "marginal", marginal)
@@ -159,14 +170,24 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _checked_vectors(bounds: IntervalBounds, q, f) -> tuple[np.ndarray, np.ndarray]:
-    """q and f as read-only float vectors, one finite entry per state of `bounds`."""
-    q, f = _frozen_array(q), _frozen_array(f)
-    if q.shape != (bounds.size,) or f.shape != (bounds.size,):
-        raise ValueError(f"q and f must be vectors of length {bounds.size}")
-    if not (np.isfinite(q).all() and np.isfinite(f).all()):
-        raise ValueError("q and f must be finite")
-    return q, f
+def _check_seed(seed) -> None:
+    """Raise ValueError unless `seed` is a non-negative integer."""
+    _check_integers(seed=seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def _checked_vectors(bounds: IntervalBounds, **vectors) -> tuple[np.ndarray, ...]:
+    """The named `vectors` (q, f or both), in order, as read-only float vectors
+    with one finite entry per state of `bounds`; a ValueError names them."""
+    arrays = tuple(_float_array(name, v) for name, v in vectors.items())
+    names = " and ".join(vectors)
+    if any(v.shape != (bounds.size,) for v in arrays):
+        noun = "vectors" if len(arrays) > 1 else "a vector"
+        raise ValueError(f"{names} must be {noun} of length {bounds.size}")
+    if not all(np.isfinite(v).all() for v in arrays):
+        raise ValueError(f"{names} must be finite")
+    return arrays
 
 
 class EdgeChoice(enum.IntEnum):
@@ -334,28 +355,22 @@ class ValidationReport:
 
 
 def connected_components(adjacency: np.ndarray) -> list[list[int]]:
-    """Connected components of a boolean adjacency matrix (made symmetric)."""
+    """Connected components of a boolean adjacency matrix (made symmetric):
+    sorted lists of vertices, ordered by their smallest members."""
     adj = np.asarray(adjacency, dtype=bool)
     adj = adj | adj.T
-    s = adj.shape[0]
-    seen = [False] * s
-    components = []
-    for start in range(s):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        component = [start]
-        while stack:
-            x = stack.pop()
-            for y in np.flatnonzero(adj[x]):
-                y = int(y)
-                if not seen[y]:
-                    seen[y] = True
-                    component.append(y)
-                    stack.append(y)
-        components.append(sorted(component))
-    return components
+    vertices = np.arange(len(adj))
+    # each vertex is labelled with its component's root, the smallest vertex;
+    # the roots are read back as `label == vertices`, not with np.unique,
+    # whose first call in a process raises peak RSS by about 1.3 MB
+    label = np.full(len(adj), -1)
+    for start in range(len(adj)):
+        if label[start] < 0:
+            frontier = vertices == start
+            while frontier.any():
+                label[frontier] = start
+                frontier = adj[frontier].any(axis=0) & (label < 0)
+    return [np.flatnonzero(label == root).tolist() for root in vertices[label == vertices]]
 
 
 def validate(bounds: IntervalBounds) -> ValidationReport:
@@ -390,16 +405,14 @@ def validate(bounds: IntervalBounds) -> ValidationReport:
                 )
             )
     for name, arr in (("lower", low), ("upper", up)):
-        bad = np.argwhere(arr != arr.T)
-        for x, y in bad:
-            if x < y:
-                violations.append(
-                    Violation(
-                        ViolationCode.SYMMETRY,
-                        (int(x), int(y)),
-                        f"{name}({x}, {y}) = {arr[x, y]} but {name}({y}, {x}) = {arr[y, x]}",
-                    )
+        for x, y in np.argwhere(np.triu(arr != arr.T, k=1)):
+            violations.append(
+                Violation(
+                    ViolationCode.SYMMETRY,
+                    (int(x), int(y)),
+                    f"{name}({x}, {y}) = {arr[x, y]} but {name}({y}, {x}) = {arr[y, x]}",
                 )
+            )
     for x, y in np.argwhere(low > up):
         violations.append(
             Violation(
@@ -521,7 +534,7 @@ def edge_gradient(bounds: IntervalBounds, q, f) -> np.ndarray:
     edge {x, y} and taken off the two incident loops:
     (q(x)/W(x) - q(y)/W(y)) * (f(y) - f(x)).  Symmetric, zero diagonal.
     """
-    q, f = _checked_vectors(bounds, q, f)
+    q, f = _checked_vectors(bounds, q=q, f=f)
     h = q / bounds.marginal
     return (h[:, None] - h[None, :]) * (f[None, :] - f[:, None])
 
@@ -540,7 +553,7 @@ def one_step_minimizer(bounds: IntervalBounds, q, f) -> tuple[WeightFunction, Ed
     all others at the upper bound; ties (zero gradient) deterministically go
     to the upper bound.
     """
-    q, f = _checked_vectors(bounds, q, f)
+    q, f = _checked_vectors(bounds, q=q, f=f)
     mask = _gradient_upper_mask(bounds, q / bounds.marginal, f)
     selection = EdgeSelection.from_upper_mask(bounds, mask)
     return weight_from_selection(bounds, selection), selection

@@ -35,7 +35,7 @@ class ProblemInstance:
     def __post_init__(self):
         if self.states.size != self.bounds.size:
             raise ValueError("state labels do not match the matrix size")
-        q, f = _checked_vectors(self.bounds, self.q, self.f)
+        q, f = _checked_vectors(self.bounds, q=self.q, f=self.f)
         _check_integers(steps=self.steps)
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
@@ -66,17 +66,9 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     missing = [k for k in _FIELDS if k not in data]
     if missing:
         raise ValueError(f"instance document is missing fields: {', '.join(missing)}")
-    try:
-        states = StateSpace(tuple(str(x) for x in data["states"]))
-        lower = np.array(data["lower"], dtype=float)
-        upper = np.array(data["upper"], dtype=float)
-        marginal = np.array(data["marginal"], dtype=float)
-        q = np.array(data["q"], dtype=float)
-        f = np.array(data["f"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed instance document: {exc}") from exc
-    bounds = IntervalBounds(lower, upper, marginal)
-    return ProblemInstance(states, bounds, q, f, data["steps"])
+    states = StateSpace(data["states"])
+    bounds = IntervalBounds(data["lower"], data["upper"], data["marginal"])
+    return ProblemInstance(states, bounds, data["q"], data["f"], data["steps"])
 
 
 def write_json(path, payload) -> None:

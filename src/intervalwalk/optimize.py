@@ -34,6 +34,7 @@ from .graph import (
     WeightFunction,
     _check_admissible,
     _check_integers,
+    _check_seed,
     _checked_vectors,
     _extremal_masks,
     _gradient_upper_mask,
@@ -76,7 +77,7 @@ class OptimizationProblem:
     sense: Sense = Sense.MIN
 
     def __post_init__(self):
-        q, f = _checked_vectors(self.bounds, self.q, self.f)
+        q, f = _checked_vectors(self.bounds, q=self.q, f=self.f)
         _check_integers(n=self.n)
         if self.n < 1:
             raise ValueError("need at least one step")
@@ -345,13 +346,13 @@ def random_extremal_schedule(
     """A schedule of n independently sampled random extremal weight functions.
 
     Deterministic for an integer seed; pass a Generator to draw from an
-    existing stream.  A negative n raises ValueError.
+    existing stream.  A negative n or integer seed raises ValueError.
     """
     _check_integers(n=n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if not isinstance(seed, np.random.Generator):
-        _check_integers(seed=seed)
+        _check_seed(seed)
         seed = rngmod.substream(seed)
     masks = _random_upper_masks(bounds, n, seed)
     return tuple(weight_from_selection(bounds, sel) for sel in _selections_from_masks(bounds, masks))
@@ -417,8 +418,10 @@ def multistart(
 
     Each start draws from its own substream keyed by (seed, start index), so
     the report is reproducible and independent of how the runs are executed.
+    A `seed` that is not a non-negative integer raises ValueError.
     """
-    _check_integers(starts=starts, seed=seed)
+    _check_integers(starts=starts)
+    _check_seed(seed)
     if starts < 1:
         raise ValueError("need at least one start")
     return _aggregate(problem, _random_starts(problem, starts, seed), order, int(seed))

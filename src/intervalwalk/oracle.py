@@ -83,7 +83,7 @@ def exact_bounds(
     n = int(n)  # a numpy integer would wrap in the (2^e)^n budget count
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    q, f = _checked_vectors(bounds, q, f)
+    q, f = _checked_vectors(bounds, q=q, f=f)
     e = len(bounds.free_edges)
     _check_cap(e)
     total = (1 << e) ** n

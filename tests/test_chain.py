@@ -71,6 +71,34 @@ class TestSteps:
         )
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda b, w: backward_step(b, w, [0.0, float("nan")]), "f must be finite", id="backward-nan"),
+        pytest.param(lambda b, w: backward_step(b, w, [0.0, 1.0, 2.0]), "f must be a vector of length 2", id="backward-long"),
+        pytest.param(lambda b, w: forward_step(b, [float("inf"), 0.0], w), "q must be finite", id="forward-inf"),
+        pytest.param(lambda b, w: forward_step(b, [[1.0, 0.0]], w), "q must be a vector of length 2", id="forward-matrix"),
+        pytest.param(
+            lambda b, w: expectation(b, [float("nan"), 0.0], (w,), [0.0, 1.0]), "q and f must be finite", id="expectation-nan"
+        ),
+        pytest.param(
+            lambda b, w: expectation(b, [1.0, 0.0], (), [0.0, float("inf")]), "q and f must be finite", id="expectation-empty"
+        ),
+        pytest.param(
+            lambda b, w: expectation(b, [1.0, 0.0, 0.0], (w,), [0.0, 1.0]),
+            "q and f must be vectors of length 2",
+            id="expectation-long",
+        ),
+        pytest.param(
+            lambda b, w: expectation(b, [1.0, 0.0], (w,), ["x", 1.0]), "f is not an array of numbers", id="expectation-string"
+        ),
+    ],
+)
+def test_vectors_checked(two_state, call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(two_state.bounds, two_state.w_up)
+
+
 class TestExpectation:
     def test_two_step_golden_values(self, two_state):
         b, q, f = two_state.bounds, two_state.q, two_state.f

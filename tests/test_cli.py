@@ -53,6 +53,26 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("states", "ab", "states must be a list of labels, got 'ab'", id="string-states"),
+            pytest.param("states", 2, "states must be a list of labels, got 2", id="number-states"),
+            pytest.param("marginal", [10**400, 1.0], "marginal is not an array of numbers", id="huge-integer"),
+            pytest.param("lower", [[0.0, 0.2], [0.2]], "lower is not an array of numbers", id="ragged"),
+            pytest.param("upper", [[0.0, "x"], [0.9, 0.0]], "upper is not an array of numbers", id="string-entry"),
+            pytest.param("q", {"a": 1.0}, "q is not an array of numbers", id="dict-vector"),
+        ],
+    )
+    def test_malformed_field_exits_two_naming_it(self, example_file, capsys, field, value, message):
+        doc = json.loads(example_file.read_text())
+        doc[field] = value
+        example_file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(example_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["validate", str(missing)]) == 2

@@ -175,6 +175,20 @@ class TestMapTasks:
         assert experiments._map_tasks(abs, [-1, -2], 64) == [1, 2]
         assert seen == [3]  # unknown CPU count: run serially
 
+    @pytest.mark.parametrize(
+        "threads, message",
+        [
+            pytest.param(0, "threads must be at least 1, got 0", id="zero"),
+            pytest.param(-3, "threads must be at least 1, got -3", id="negative"),
+            pytest.param(2.5, "threads must be an integer, got 2.5", id="float"),
+            pytest.param(True, "threads must be an integer, got True", id="bool"),
+        ],
+    )
+    def test_bad_threads_rejected(self, tmp_path, threads, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_extrema_count(small_config(), tmp_path / "out", threads=threads)
+        assert not (tmp_path / "out").exists()
+
 
 class TestInitialVsOptimized:
     def test_optimized_never_worse_and_correlations_recorded(self, tmp_path):

@@ -14,6 +14,7 @@ from intervalwalk import (
     ViolationCode,
     WeightFunction,
     close,
+    connected_components,
     edge_gradient,
     expectation,
     one_step_minimizer,
@@ -33,6 +34,28 @@ def reference_weight_matrix(bounds, mask):
         m[x, y] = m[y, x] = bounds.upper[x, y] if up else bounds.lower[x, y]
     np.fill_diagonal(m, bounds.marginal - m.sum(axis=1))
     return m
+
+
+def reference_components(adjacency):
+    """Stack depth-first search over the symmetrized adjacency: sorted
+    components, ordered by their smallest member."""
+    adj = np.asarray(adjacency, dtype=bool)
+    adj = adj | adj.T
+    seen = [False] * len(adj)
+    components = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, component = [start], [start]
+        while stack:
+            for y in np.flatnonzero(adj[stack.pop()]).tolist():
+                if not seen[y]:
+                    seen[y] = True
+                    component.append(y)
+                    stack.append(y)
+        components.append(sorted(component))
+    return components
 
 
 class TestStateSpace:
@@ -102,6 +125,19 @@ class TestValidate:
         bounds = IntervalBounds(lower, upper, np.full(4, 1.0))
         report = validate(bounds)
         assert any(v.code is ViolationCode.CONNECTIVITY for v in report.violations)
+
+    def test_components_match_depth_first_search(self):
+        rng = np.random.default_rng(7)
+        cases = [np.zeros((0, 0), dtype=bool), np.zeros((1, 1), dtype=bool), np.zeros((5, 5), dtype=bool)]
+        for _ in range(400):
+            s = int(rng.integers(0, 31))
+            # densities from a few isolated vertices to one component; the
+            # matrices are asymmetric and some carry loops
+            cases.append(rng.random((s, s)) < rng.choice([0.0, 0.02, 0.05, 0.1, 0.3]))
+        for adjacency in cases:
+            components = connected_components(adjacency)
+            assert components == reference_components(adjacency)
+            assert all(type(x) is int for component in components for x in component)
 
     def test_symmetry_and_order_violations(self):
         lower = [[0.0, 0.3], [0.2, 0.0]]

@@ -328,6 +328,10 @@ class TestRandomExtremalSchedule:
         with pytest.raises(ValueError, match=message):
             random_extremal_schedule(two_state.bounds, n, seed)
 
+    def test_negative_seed_rejected(self, two_state):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            random_extremal_schedule(two_state.bounds, 2, -1)
+
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_no_free_edges_gives_empty_masks(self, two_state, n):
         b = two_state.bounds
@@ -415,6 +419,10 @@ class TestMultistart:
     def test_non_integer_counts_rejected(self, two_state, starts, seed, message):
         with pytest.raises(ValueError, match=message):
             multistart(two_state_problem(two_state), starts, seed=seed)
+
+    def test_negative_seed_rejected(self, two_state):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            multistart(two_state_problem(two_state), 4, seed=-1)
 
     def test_numpy_integers_accepted(self, two_state):
         problem = two_state_problem(two_state, n=np.int64(2))
