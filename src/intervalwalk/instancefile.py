@@ -59,14 +59,39 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
+def _check_numbers(name: str, value) -> None:
+    """Raise ValueError naming `name` unless every entry of `value`, a number
+    or nested lists of them, is a JSON number: not a string, not a boolean."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{name} is not an array of numbers: {item!r} is not a JSON number")
+
+
 def instance_from_dict(data: dict) -> ProblemInstance:
-    """Build an instance from parsed JSON; raises ValueError on a bad document."""
+    """Build an instance from parsed JSON; raises ValueError on a bad document.
+
+    Every field is required and no other is allowed; `states` must be a list
+    of strings, and the numeric fields must hold JSON numbers, not strings or
+    booleans.
+    """
     if not isinstance(data, dict):
         raise ValueError("instance document must be a JSON object")
     missing = [k for k in _FIELDS if k not in data]
     if missing:
         raise ValueError(f"instance document is missing fields: {', '.join(missing)}")
-    states = StateSpace(data["states"])
+    unknown = sorted(set(data) - set(_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown instance fields: {', '.join(unknown)}")
+    labels = data["states"]
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"states must be a list of labels, got {labels!r}")
+    for name in ("lower", "upper", "marginal", "q", "f"):
+        _check_numbers(name, data[name])
+    states = StateSpace(labels)
     bounds = IntervalBounds(data["lower"], data["upper"], data["marginal"])
     return ProblemInstance(states, bounds, data["q"], data["f"], data["steps"])
 

@@ -8,13 +8,14 @@ repeats the descent from many random extremal schedules and keeps the best
 fixed point found.
 
 A batch of starts is one (S, n, e) array of endpoint masks, S starts of n
-steps over e free edges: `multistart` draws all of its starts into one, and
-`multistart_exhaustive` passes its table of every schedule.  `_descents`
-slices such an array `_CHUNK` rows at a time, and one kernel,
-`_descend_chunk`, runs every descent: it sweeps a chunk in lockstep through
-stacked products, and `local_optimize` is a chunk of one.  Each start's
-arithmetic is bit for bit that of a descent on its own, so no result depends
-on how the starts are chunked.
+steps over e free edges: `multistart` draws all of its starts into one (each
+start's rankings from its own substream, the masks of all starts by one
+gradient call per step), and `multistart_exhaustive` passes its table of
+every schedule.  `_descents` slices such an array `_CHUNK` rows at a time,
+and one kernel, `_descend_chunk`, runs every descent: it sweeps a chunk in
+lockstep through stacked products, and `local_optimize` is a chunk of one.
+Each start's draws and arithmetic are bit for bit those of a start on its
+own, so no result depends on how the starts are batched.
 """
 
 from __future__ import annotations
@@ -324,20 +325,35 @@ def local_optimize(
     return _local_optimum(bounds, run)
 
 
-def _random_upper_masks(bounds: IntervalBounds, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Endpoint masks of n random extremal weight functions.
+def _draw_upper_masks(bounds: IntervalBounds, n: int, rngs) -> np.ndarray:
+    """Endpoint masks of n random extremal weight functions from each
+    generator in `rngs`, as one (S, n, e) array with a row per generator.
 
-    Each step draws two uniform random state rankings, h then f, and takes
-    the sign of the edge gradient they induce, which covers exactly the
-    selections a one-step optimization could ever produce.
+    Each generator draws 2n uniform random state rankings, h then f for each
+    step, and a step takes the sign of the edge gradient they induce, which
+    covers exactly the selections a one-step optimization could ever
+    produce.  The rankings are drawn per generator and stacked as (S, n, 2, s);
+    one gradient call per step turns the rankings of all rows into masks.
     """
     s = bounds.size
-    # one call for the 2n rankings: the same draws, in the same order, as 2n
-    # rng.permutation(s) calls, leaving the stream in the same state
-    ranks = rng.permuted(np.broadcast_to(np.arange(s, dtype=float), (2 * n, s)), axis=1).reshape(n, 2, s)
-    # one kernel call for all steps; it indexes its first axis, so it takes
-    # (s, n) rankings and returns (e, n) masks
-    return _gradient_upper_mask(bounds, ranks[:, 0].T, ranks[:, 1].T).T
+    # one call for a generator's 2n rankings: the same draws, in the same
+    # order, as 2n rng.permutation(s) calls, leaving the stream in the same state
+    base = np.broadcast_to(np.arange(s, dtype=float), (2 * n, s))
+    ranks = [rng.permuted(base, axis=1) for rng in rngs]
+    # rebinding frees the per-generator arrays before the gradient loop
+    ranks = np.reshape(ranks, (len(ranks), n, 2, s))
+    masks = np.empty((len(ranks), n, len(bounds.free_edges)), dtype=bool)
+    for t in range(n):
+        # the gradient kernel indexes its first axis, so it takes (s, S)
+        # rankings and returns (e, S) masks
+        masks[:, t] = _gradient_upper_mask(bounds, ranks[:, t, 0].T, ranks[:, t, 1].T).T
+    return masks
+
+
+def _random_upper_masks(bounds: IntervalBounds, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Endpoint masks of n random extremal weight functions drawn from `rng`:
+    the (n, e) batch of one that `_draw_upper_masks` draws."""
+    return _draw_upper_masks(bounds, n, [rng])[0]
 
 
 def random_extremal_schedule(
@@ -390,11 +406,12 @@ def _aggregate(problem, starts, order, seed) -> MultistartReport:
 
 def _random_starts(problem, starts, seed) -> np.ndarray:
     """The endpoint masks of `starts` random extremal schedules, as one
-    (starts, n, e) array.  Row `idx` draws from substream (seed, idx), so no
-    start depends on how many others are drawn or how they are descended."""
-    return np.array(
-        [_random_upper_masks(problem.bounds, problem.n, rngmod.substream(seed, idx)) for idx in range(starts)]
-    )
+    (starts, n, e) array.  Row `idx` draws its rankings from substream
+    (seed, idx), and one gradient call per step turns the rankings of all
+    rows into masks, so no start depends on how many others are drawn or how
+    they are descended."""
+    rngs = (rngmod.substream(seed, idx) for idx in range(starts))
+    return _draw_upper_masks(problem.bounds, problem.n, rngs)
 
 
 def _descents(problem, starts, order):

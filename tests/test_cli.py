@@ -73,6 +73,25 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("marginal", ["1.5", "1.5"], "marginal is not an array of numbers: '1.5'", id="string-numbers"),
+            pytest.param("q", [True, False], "q is not an array of numbers: True", id="boolean-numbers"),
+            pytest.param("states", {"a": 0, "b": 1}, "states must be a list of labels, got {", id="object-states"),
+            pytest.param("states", [["0"], ["1"]], "states must be a list of labels, got [['0'], ['1']]", id="nested-states"),
+            pytest.param("bogus", 1, "unknown instance fields: bogus", id="unknown-field"),
+        ],
+    )
+    def test_loosely_typed_document_exits_two_naming_the_field(self, example_file, capsys, field, value, message):
+        doc = json.loads(example_file.read_text())
+        doc[field] = value
+        example_file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(example_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["validate", str(missing)]) == 2

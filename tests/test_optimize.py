@@ -479,15 +479,29 @@ class TestMultistart:
 
 
 class TestDescents:
-    @pytest.mark.parametrize("starts", [1, 7, optimize._CHUNK + 1])
-    def test_random_starts_are_one_array_of_per_start_draws(self, starts):
-        bounds, q, f = generate_instance(GenParams(s=5, seed=3))
-        problem = OptimizationProblem(bounds, q, f, 4)
-        table = _random_starts(problem, starts, 8)
-        assert isinstance(table, np.ndarray) and table.dtype == bool
-        assert table.shape == (starts, problem.n, len(bounds.free_edges))
-        for idx, row in enumerate(table):
-            np.testing.assert_array_equal(row, optimize._random_upper_masks(bounds, problem.n, substream(8, idx)))
+    @pytest.mark.parametrize(
+        "shapes, starts, free",
+        [
+            pytest.param([(5, 4)], 1, True, id="1"),
+            pytest.param([(5, 4)], 7, True, id="7"),
+            pytest.param([(5, 4)], optimize._CHUNK + 1, True, id=str(optimize._CHUNK + 1)),
+            pytest.param([(5, 4), (8, 3)], 7, False, id="no-free-edges"),
+            pytest.param([(20, 10)], 300, True, id="20x10-300"),
+            pytest.param(list(itertools.product(range(2, 13), range(1, 7))), 5, True, id="2-12x1-6"),
+        ],
+    )
+    def test_random_starts_are_one_array_of_per_start_draws(self, shapes, starts, free):
+        # (vertices, steps) shapes; without free edges every interval is a point
+        for vertices, steps in shapes:
+            bounds, q, f = generate_instance(GenParams(s=vertices, seed=3))
+            if not free:
+                bounds = IntervalBounds(bounds.lower, bounds.lower, bounds.marginal)
+            problem = OptimizationProblem(bounds, q, f, steps)
+            table = _random_starts(problem, starts, 8)
+            assert isinstance(table, np.ndarray) and table.dtype == bool
+            assert table.shape == (starts, steps, len(bounds.free_edges) if free else 0)
+            for idx, row in enumerate(table):
+                np.testing.assert_array_equal(row, optimize._random_upper_masks(bounds, steps, substream(8, idx)))
 
     @pytest.mark.parametrize("vertices", [3, 4, 5, 6])
     def test_matches_local_optimize_from_sampled_schedules(self, vertices):
