@@ -11,14 +11,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import TOL, IntervalBounds, WeightFunction, _check_integers, _checked_vectors
+from .graph import TOL, IntervalBounds, WeightFunction, _check_integers, _check_states, _checked_vectors
 
 #: An ordered per-step assignment of weight functions (possibly empty).
 Schedule = tuple[WeightFunction, ...]
 
 
 def transition_matrix(bounds: IntervalBounds, w: WeightFunction) -> np.ndarray:
-    """Row-stochastic transition matrix P(x, y) = w(x, y) / W(x), loops included."""
+    """Row-stochastic transition matrix P(x, y) = w(x, y) / W(x), loops included.
+
+    A `w` of another size than `bounds` raises ValueError."""
+    _check_states(bounds, w)
     return w.matrix / bounds.marginal[:, None]
 
 

@@ -280,6 +280,12 @@ class WeightFunction:
         return _frozen_array(self.matrix.sum(axis=1))
 
 
+def _check_states(bounds: IntervalBounds, w: WeightFunction) -> None:
+    """Raise ValueError, naming both sizes, unless `w` has the states of `bounds`."""
+    if w.size != bounds.size:
+        raise ValueError(f"weight function has {w.size} states, the bounds have {bounds.size}")
+
+
 def _check_admissible(bounds: IntervalBounds, schedule) -> None:
     """Raise ValueError, naming the step, unless every weight function of a
     nonempty `schedule` is admissible for `bounds` to `TOL` (relative,
@@ -517,14 +523,22 @@ def weight_matrix_from_mask(bounds: IntervalBounds, upper_mask) -> np.ndarray:
     return _weights_from_masks(bounds, mask)
 
 
+def _weight_functions(bounds: IntervalBounds, masks: np.ndarray) -> tuple[WeightFunction, ...]:
+    """The extremal weight functions of a (k, e) boolean stack of endpoint
+    masks, one per row, built by one `_weights_from_masks` call."""
+    m = _weights_from_masks(bounds, masks)
+    diag = np.arange(bounds.size)
+    # fancy indexing copies the loops out before the diagonal is zeroed
+    loops = m[:, diag, diag]
+    m[:, diag, diag] = 0.0
+    return tuple(WeightFunction(offdiag, loop) for offdiag, loop in zip(m, loops))
+
+
 def weight_from_selection(bounds: IntervalBounds, selection: EdgeSelection) -> WeightFunction:
     """Materialize the extremal weight function identified by a selection."""
     if selection.edges != bounds.free_edges:
         raise ValueError("selection does not cover exactly the free edges of these bounds")
-    m = weight_matrix_from_mask(bounds, selection.upper_mask())
-    loop = np.diag(m).copy()
-    np.fill_diagonal(m, 0.0)
-    return WeightFunction(m, loop)
+    return _weight_functions(bounds, selection.upper_mask()[None])[0]
 
 
 def edge_gradient(bounds: IntervalBounds, q, f) -> np.ndarray:
@@ -555,8 +569,7 @@ def one_step_minimizer(bounds: IntervalBounds, q, f) -> tuple[WeightFunction, Ed
     """
     q, f = _checked_vectors(bounds, q=q, f=f)
     mask = _gradient_upper_mask(bounds, q / bounds.marginal, f)
-    selection = EdgeSelection.from_upper_mask(bounds, mask)
-    return weight_from_selection(bounds, selection), selection
+    return _weight_functions(bounds, mask[None])[0], EdgeSelection.from_upper_mask(bounds, mask)
 
 
 def selection_of(bounds: IntervalBounds, w: WeightFunction) -> EdgeSelection | None:
@@ -567,8 +580,7 @@ def selection_of(bounds: IntervalBounds, w: WeightFunction) -> EdgeSelection | N
     an absolute floor of 1.  A `w` of another size than `bounds` raises
     ValueError.
     """
-    if w.size != bounds.size:
-        raise ValueError(f"weight function has {w.size} states, the bounds have {bounds.size}")
+    _check_states(bounds, w)
     i, j = bounds._free_idx
     vals = w.offdiag[i, j]
     scale = np.maximum(1.0, np.abs(vals))

@@ -9,13 +9,13 @@ fixed point found.
 
 A batch of starts is one (S, n, e) array of endpoint masks, S starts of n
 steps over e free edges: `multistart` draws all of its starts into one (each
-start's rankings from its own substream, the masks of all starts by one
-gradient call per step), and `multistart_exhaustive` passes its table of
-every schedule.  `_descents` slices such an array `_CHUNK` rows at a time,
-and one kernel, `_descend_chunk`, runs every descent: it sweeps a chunk in
-lockstep through stacked products, and `local_optimize` is a chunk of one.
-Each start's draws and arithmetic are bit for bit those of a start on its
-own, so no result depends on how the starts are batched.
+start's rankings from its own substream, the masks of `_CHUNK` starts at a
+time by one gradient call per step), and `multistart_exhaustive` passes its
+table of every schedule.  `_descents` slices such an array `_CHUNK` rows at
+a time, and one kernel, `_descend_chunk`, runs every descent: it sweeps a
+chunk in lockstep through stacked products, and `local_optimize` is a chunk
+of one.  Each start's draws and arithmetic are bit for bit those of a start
+on its own, so no result depends on how the starts are batched.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .chain import Schedule, backward_step, forward_step, transition_matrix
+from .chain import Schedule
 from .graph import (
     TOL,
     EdgeSelection,
@@ -41,6 +41,7 @@ from .graph import (
     _gradient_upper_mask,
     _selections_from_masks,
     _transitions_from_masks,
+    _weight_functions,
     selection_of,
     weight_from_selection,
 )
@@ -165,24 +166,32 @@ def improve_at(
     schedule's value.  Every step must be admissible for the problem's
     bounds (ValueError naming the step otherwise).
     """
-    schedule = tuple(schedule)
+    mats = _checked_transitions(problem, tuple(schedule), "schedule", k)
+    ql = problem.q
+    for mat in mats[:k]:
+        ql = ql @ mat
+    sign = problem.sense.sign
+    fr = sign * problem.f
+    for mat in reversed(mats[k + 1 :]):
+        fr = mat @ fr
+    mask, _, value = _candidate(problem.bounds, ql, fr)
+    return _weight_functions(problem.bounds, mask[None])[0], sign * float(value)
+
+
+def _checked_transitions(problem, schedule, name, k=0) -> np.ndarray:
+    """The (n, s, s) transition matrices of `schedule`, a tuple of weight
+    functions, after the checks `improve_at` and `local_optimize` share, in
+    this order: it has the problem's n steps (a ValueError calls it `name`),
+    step index `k` is an integer in range (an IndexError when out of range;
+    the default 0 always is, as n >= 1), and every step is admissible for
+    the problem's bounds (a ValueError names the step)."""
     if len(schedule) != problem.n:
-        raise ValueError(f"schedule has {len(schedule)} steps, problem wants {problem.n}")
+        raise ValueError(f"{name} has {len(schedule)} steps, problem wants {problem.n}")
     _check_integers(k=k)
     if not 0 <= k < problem.n:
         raise IndexError(f"step index {k} out of range for {problem.n} steps")
-    bounds = problem.bounds
-    _check_admissible(bounds, schedule)
-    ql = problem.q
-    for w in schedule[:k]:
-        ql = forward_step(bounds, ql, w)
-    sign = problem.sense.sign
-    fr = sign * problem.f
-    for w in reversed(schedule[k + 1 :]):
-        fr = backward_step(bounds, w, fr)
-    mask, _, value = _candidate(bounds, ql, fr)
-    replacement = weight_from_selection(bounds, EdgeSelection.from_upper_mask(bounds, mask))
-    return replacement, sign * float(value)
+    _check_admissible(problem.bounds, schedule)
+    return np.array([w.matrix for w in schedule]) / problem.bounds.marginal[:, None]
 
 
 def _candidate(bounds, ql, fr):
@@ -195,8 +204,8 @@ def _candidate(bounds, ql, fr):
     return mask, mat, np.vecdot(ql, np.matmul(mat, fr[..., None])[..., 0])
 
 
-#: Starts that `_descents` sweeps in lockstep.  At 20 states and 10 steps one
-#: chunk's transition stack is 8 MB.
+#: Starts that `_random_starts` draws, and `_descents` sweeps in lockstep, at
+#: a time.  At 20 states and 10 steps one chunk's transition stack is 8 MB.
 _CHUNK = 256
 
 
@@ -310,18 +319,15 @@ def local_optimize(
     chunk of one start.
     """
     start = tuple(start)
-    if len(start) != problem.n:
-        raise ValueError(f"start has {len(start)} steps, problem wants {problem.n}")
+    mats = _checked_transitions(problem, start, "start")
     bounds = problem.bounds
-    _check_admissible(bounds, start)
     selections = [selection_of(bounds, w) for w in start]
     masks = np.zeros((1, problem.n, len(bounds.free_edges)), dtype=bool)
     for k, sel in enumerate(selections):
         if sel is not None:
             masks[0, k] = sel.upper_mask()
     pinned = np.array([[sel is not None for sel in selections]])
-    mats = np.array([[transition_matrix(bounds, w) for w in start]])
-    (run,) = _descend_chunk(problem, masks, mats, pinned, order)
+    (run,) = _descend_chunk(problem, masks, mats[None], pinned, order)
     return _local_optimum(bounds, run)
 
 
@@ -350,12 +356,6 @@ def _draw_upper_masks(bounds: IntervalBounds, n: int, rngs) -> np.ndarray:
     return masks
 
 
-def _random_upper_masks(bounds: IntervalBounds, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Endpoint masks of n random extremal weight functions drawn from `rng`:
-    the (n, e) batch of one that `_draw_upper_masks` draws."""
-    return _draw_upper_masks(bounds, n, [rng])[0]
-
-
 def random_extremal_schedule(
     bounds: IntervalBounds, n: int, seed: int | np.random.Generator
 ) -> Schedule:
@@ -370,8 +370,7 @@ def random_extremal_schedule(
     if not isinstance(seed, np.random.Generator):
         _check_seed(seed)
         seed = rngmod.substream(seed)
-    masks = _random_upper_masks(bounds, n, seed)
-    return tuple(weight_from_selection(bounds, sel) for sel in _selections_from_masks(bounds, masks))
+    return _weight_functions(bounds, _draw_upper_masks(bounds, n, [seed])[0])
 
 
 def _census(sense: Sense, *streams) -> list[tuple[_Descent, list[int]]]:
@@ -407,11 +406,15 @@ def _aggregate(problem, starts, order, seed) -> MultistartReport:
 def _random_starts(problem, starts, seed) -> np.ndarray:
     """The endpoint masks of `starts` random extremal schedules, as one
     (starts, n, e) array.  Row `idx` draws its rankings from substream
-    (seed, idx), and one gradient call per step turns the rankings of all
-    rows into masks, so no start depends on how many others are drawn or how
-    they are descended."""
-    rngs = (rngmod.substream(seed, idx) for idx in range(starts))
-    return _draw_upper_masks(problem.bounds, problem.n, rngs)
+    (seed, idx), so no start depends on how many others are drawn or how
+    they are descended.  The rows are drawn `_CHUNK` at a time, one gradient
+    call per step turning a block's rankings into masks, so the float
+    rankings of only one block are held beside the mask array."""
+    masks = np.empty((starts, problem.n, len(problem.bounds.free_edges)), dtype=bool)
+    for lo in range(0, starts, _CHUNK):
+        rngs = (rngmod.substream(seed, idx) for idx in range(lo, min(lo + _CHUNK, starts)))
+        masks[lo : lo + _CHUNK] = _draw_upper_masks(problem.bounds, problem.n, rngs)
+    return masks
 
 
 def _descents(problem, starts, order):

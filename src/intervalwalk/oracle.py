@@ -22,7 +22,7 @@ from .graph import (
     _extremal_masks,
     _selections_from_masks,
     _transitions_from_masks,
-    weight_from_selection,
+    _weight_functions,
 )
 
 #: Absolute tolerance for collecting all schedules tied with an optimum.
@@ -56,8 +56,21 @@ def enumerate_extremal(bounds: IntervalBounds) -> list[tuple[EdgeSelection, Weig
     of ``graph._extremal_masks``; refuses beyond 2^`EXTREMAL_CAP`."""
     e = len(bounds.free_edges)
     _check_cap(e)
-    selections = _selections_from_masks(bounds, _extremal_masks(e))
-    return [(sel, weight_from_selection(bounds, sel)) for sel in selections]
+    masks = _extremal_masks(e)
+    return list(zip(_selections_from_masks(bounds, masks), _weight_functions(bounds, masks)))
+
+
+def _prefix_masses(stack: np.ndarray, ql: np.ndarray, steps: int):
+    """Depth first, in ascending prefix index, the mass `ql` pushed through
+    each of the m^`steps` prefixes of `steps` >= 1 steps drawn from the
+    (m, s, s) transition stack.  The last step yields the rows of one push,
+    so no generator is made per prefix."""
+    pushed = np.einsum("x,mxy->my", ql, stack)
+    if steps == 1:
+        yield from pushed
+    else:
+        for row in pushed:
+            yield from _prefix_masses(stack, row, steps - 1)
 
 
 def exact_bounds(
@@ -106,25 +119,16 @@ def exact_bounds(
         """Whether a leaf block spanning [low, high] can hold an optimum of either sense."""
         return low <= lo + ARGOPT_ATOL or high >= hi - ARGOPT_ATOL
 
-    def explore(depth: int, ql: np.ndarray, index: int) -> None:
-        nonlocal lo, hi, kept
-        pushed = np.einsum("x,mxy->my", ql, stack)
-        if depth < n - 1:
-            for k in range(m):
-                explore(depth + 1, pushed[k], index * m + k)
-            return
-        values = pushed @ f
+    # a leaf block is one prefix of n - 1 steps with the values of its m last steps
+    prefixes = _prefix_masses(stack, q, n - 1) if n > 1 else (q,)
+    for index, ql in enumerate(prefixes):
+        values = np.einsum("x,mxy->my", ql, stack) @ f
         low, high = float(values.min()), float(values.max())
         if low < lo or high > hi:
             lo, hi = min(lo, low), max(hi, high)
             kept = [(i, v) for i, v in kept if near(v.min(), v.max())]
         if near(low, high):
             kept.append((index, values))
-
-    explore(0, q, 0)
-    # explore reaches itself through its closure: break the cycle so the blocks
-    # and the stack are freed on return, not at the next garbage collection
-    del explore
 
     def schedules(hit) -> tuple[tuple[EdgeSelection, ...], ...]:
         flat = [index * m + k for index, values in kept for k in np.flatnonzero(hit(values))]

@@ -99,6 +99,24 @@ def test_vectors_checked(two_state, call, message):
         call(two_state.bounds, two_state.w_up)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(transition_matrix, id="transition_matrix"),
+        pytest.param(lambda b, w: expectation(b, [1.0, 0.0], (w,), [0.0, 1.0]), id="expectation"),
+        pytest.param(lambda b, w: forward_step(b, [1.0, 0.0], w), id="forward_step"),
+        pytest.param(lambda b, w: backward_step(b, w, [0.0, 1.0]), id="backward_step"),
+        pytest.param(detailed_balance_residual, id="detailed_balance_residual"),
+    ],
+)
+@pytest.mark.parametrize("states", [1, 3])
+def test_weight_function_size_checked(two_state, call, states):
+    # a one-state matrix would broadcast against the two marginals unnoticed
+    w = WeightFunction(np.full((states, states), 0.3), np.full(states, 0.4))
+    with pytest.raises(ValueError, match=f"^weight function has {states} states, the bounds have 2$"):
+        call(two_state.bounds, w)
+
+
 class TestExpectation:
     def test_two_step_golden_values(self, two_state):
         b, q, f = two_state.bounds, two_state.q, two_state.f

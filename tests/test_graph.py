@@ -9,6 +9,7 @@ from conftest import bounds_q_f, edge_selections, interval_bounds, random_weight
 from intervalwalk import (
     EdgeChoice,
     EdgeSelection,
+    GenParams,
     IntervalBounds,
     StateSpace,
     ViolationCode,
@@ -17,13 +18,14 @@ from intervalwalk import (
     connected_components,
     edge_gradient,
     expectation,
+    generate_instance,
     one_step_minimizer,
     selection_of,
     validate,
     weight_from_selection,
     weight_matrix_from_mask,
 )
-from intervalwalk.graph import _extremal_masks, _weights_from_masks
+from intervalwalk.graph import _extremal_masks, _weight_functions, _weights_from_masks
 from intervalwalk.oracle import enumerate_extremal
 
 
@@ -231,6 +233,34 @@ class TestWeightFromSelection:
                 single = weight_matrix_from_mask(bounds, mask)
                 assert m.tobytes() == single.tobytes() == w.matrix.tobytes()
                 assert m.tobytes() == reference_weight_matrix(bounds, mask).tobytes()
+
+
+def split_weight_matrix(bounds, mask):
+    """One mask's weight function by the single-mask recipe: the matrix of
+    `weight_matrix_from_mask`, its diagonal split off as the loops."""
+    m = weight_matrix_from_mask(bounds, mask)
+    loop = np.diag(m).copy()
+    np.fill_diagonal(m, 0.0)
+    return m, loop
+
+
+class TestWeightFunctions:
+    """The stacked builder behind every public weight-function constructor."""
+
+    @pytest.mark.parametrize("free", [True, False], ids=["free", "no-free-edges"])
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_stack_matches_the_single_mask_recipe(self, k, free):
+        for seed in range(6):
+            bounds, _, _ = generate_instance(GenParams(s=2 + seed, seed=seed))
+            if not free:
+                bounds = IntervalBounds(bounds.lower, bounds.lower, bounds.marginal)
+            masks = np.random.default_rng(seed).random((k, len(bounds.free_edges))) < 0.5
+            weights = _weight_functions(bounds, masks)
+            assert type(weights) is tuple and len(weights) == k
+            for mask, w in zip(masks, weights, strict=True):
+                offdiag, loop = split_weight_matrix(bounds, mask)
+                assert w.offdiag.tobytes() == offdiag.tobytes()
+                assert w.loop.tobytes() == loop.tobytes()
 
 
 class TestEdgeGradient:

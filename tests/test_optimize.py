@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from intervalwalk import (
     Sense,
     SweepOrder,
     WeightFunction,
+    backward_step,
     close,
     edge_gradient,
     expectation,
+    forward_step,
     generate_instance,
     improve_at,
     local_optimize,
@@ -29,10 +32,11 @@ from intervalwalk import (
     transition_matrix,
     validate,
     weight_from_selection,
+    weight_matrix_from_mask,
 )
 from intervalwalk import optimize
 from intervalwalk.graph import TOL, _extremal_masks, _gradient_upper_mask, _transitions_from_masks
-from intervalwalk.optimize import _Descent, _descents, _local_optimum, _random_starts
+from intervalwalk.optimize import _candidate, _Descent, _descents, _local_optimum, _random_starts
 from intervalwalk.oracle import BudgetExceededError
 from intervalwalk.rng import substream
 
@@ -120,6 +124,36 @@ class TestImproveAt:
                         assert new_value <= value + 1e-12 * max(1.0, abs(value))
                     else:
                         assert new_value >= value - 1e-12 * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_matches_the_single_step_fold(self, sense):
+        # the fold by the public single-step operations, one weight function
+        # at a time, and the replacement as the candidate mask's weight
+        # matrix with its diagonal split off as the loops
+        rng = np.random.default_rng(29)
+        for seed in range(12):
+            bounds, q, f = generate_instance(GenParams(s=3 + seed % 5, seed=seed))
+            n = 1 + seed % 4
+            schedule = tuple(
+                random_weight(bounds, rng) if k % 2 else w
+                for k, w in enumerate(random_extremal_schedule(bounds, n, seed))
+            )
+            problem = OptimizationProblem(bounds, q, f, n, sense)
+            for k in range(n):
+                ql = q
+                for w in schedule[:k]:
+                    ql = forward_step(bounds, ql, w)
+                fr = sense.sign * f
+                for w in reversed(schedule[k + 1 :]):
+                    fr = backward_step(bounds, w, fr)
+                mask, _, value = _candidate(bounds, ql, fr)
+                offdiag = weight_matrix_from_mask(bounds, mask)
+                loop = np.diag(offdiag).copy()
+                np.fill_diagonal(offdiag, 0.0)
+                replacement, got = improve_at(problem, schedule, k)
+                assert got == sense.sign * float(value)
+                assert replacement.offdiag.tobytes() == offdiag.tobytes()
+                assert replacement.loop.tobytes() == loop.tobytes()
 
 
 class TestLocalOptimize:
@@ -335,7 +369,7 @@ class TestRandomExtremalSchedule:
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_no_free_edges_gives_empty_masks(self, two_state, n):
         b = two_state.bounds
-        masks = optimize._random_upper_masks(IntervalBounds(b.lower, b.lower, b.marginal), n, substream(1))
+        masks = optimize._draw_upper_masks(IntervalBounds(b.lower, b.lower, b.marginal), n, [substream(1)])[0]
         assert masks.dtype == bool and masks.shape == (n, 0)
 
     @pytest.mark.parametrize("n", [0, 1, 4])
@@ -348,14 +382,14 @@ class TestRandomExtremalSchedule:
             h = rng.permutation(6).astype(float)
             f = rng.permutation(6).astype(float)
             expected[t] = _gradient_upper_mask(bounds, h, f)
-        np.testing.assert_array_equal(optimize._random_upper_masks(bounds, n, substream(3, n)), expected)
+        np.testing.assert_array_equal(optimize._draw_upper_masks(bounds, n, [substream(3, n)])[0], expected)
 
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_stream_left_as_after_per_step_draws(self, n):
         bounds, _, _ = generate_instance(GenParams(s=6, seed=4))
         drawn, expected = substream(5, n), substream(5, n)
-        optimize._random_upper_masks(bounds, n, drawn)
+        optimize._draw_upper_masks(bounds, n, [drawn])[0]
         for _ in range(2 * n):
             expected.permutation(6)
         assert drawn.random() == expected.random()
@@ -501,7 +535,23 @@ class TestDescents:
             assert isinstance(table, np.ndarray) and table.dtype == bool
             assert table.shape == (starts, steps, len(bounds.free_edges) if free else 0)
             for idx, row in enumerate(table):
-                np.testing.assert_array_equal(row, optimize._random_upper_masks(bounds, steps, substream(8, idx)))
+                np.testing.assert_array_equal(row, optimize._draw_upper_masks(bounds, steps, [substream(8, idx)])[0])
+
+    def test_start_draw_holds_one_chunk_of_rankings(self):
+        # a start's float rankings take 2.3 times the bytes of its masks, so
+        # beside the mask array only one chunk's rankings may be held
+        bounds, q, f = generate_instance(GenParams(s=20, seed=5))
+        assert len(bounds.free_edges) == 141
+        problem = OptimizationProblem(bounds, q, f, 10)
+        # the bounds' cached index arrays are built before the trace starts
+        _random_starts(problem, 1, 0)
+        tracemalloc.start()
+        try:
+            masks = _random_starts(problem, 20000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * masks.nbytes
 
     @pytest.mark.parametrize("vertices", [3, 4, 5, 6])
     def test_matches_local_optimize_from_sampled_schedules(self, vertices):
