@@ -525,13 +525,18 @@ def weight_matrix_from_mask(bounds: IntervalBounds, upper_mask) -> np.ndarray:
 
 def _weight_functions(bounds: IntervalBounds, masks: np.ndarray) -> tuple[WeightFunction, ...]:
     """The extremal weight functions of a (k, e) boolean stack of endpoint
-    masks, one per row, built by one `_weights_from_masks` call."""
-    m = _weights_from_masks(bounds, masks)
+    masks, one per row, built by one `_weights_from_masks` call per block of
+    256 rows.  Each WeightFunction copies its arrays, so only one block's
+    stack is held beside the functions built."""
     diag = np.arange(bounds.size)
-    # fancy indexing copies the loops out before the diagonal is zeroed
-    loops = m[:, diag, diag]
-    m[:, diag, diag] = 0.0
-    return tuple(WeightFunction(offdiag, loop) for offdiag, loop in zip(m, loops))
+    out: list[WeightFunction] = []
+    for block in np.split(masks, range(256, len(masks), 256)):
+        m = _weights_from_masks(bounds, block)
+        # fancy indexing copies the loops out before the diagonal is zeroed
+        loops = m[:, diag, diag]
+        m[:, diag, diag] = 0.0
+        out += map(WeightFunction, m, loops)
+    return tuple(out)
 
 
 def weight_from_selection(bounds: IntervalBounds, selection: EdgeSelection) -> WeightFunction:

@@ -407,12 +407,13 @@ def _random_starts(problem, starts, seed) -> np.ndarray:
     """The endpoint masks of `starts` random extremal schedules, as one
     (starts, n, e) array.  Row `idx` draws its rankings from substream
     (seed, idx), so no start depends on how many others are drawn or how
-    they are descended.  The rows are drawn `_CHUNK` at a time, one gradient
-    call per step turning a block's rankings into masks, so the float
-    rankings of only one block are held beside the mask array."""
+    they are descended.  The rows are drawn `_CHUNK` at a time: one
+    `rng.substreams` pass seeds a block's substreams, and one gradient call
+    per step turns its rankings into masks, so the float rankings of only
+    one block are held beside the mask array."""
     masks = np.empty((starts, problem.n, len(problem.bounds.free_edges)), dtype=bool)
     for lo in range(0, starts, _CHUNK):
-        rngs = (rngmod.substream(seed, idx) for idx in range(lo, min(lo + _CHUNK, starts)))
+        rngs = rngmod.substreams(seed, lo, min(lo + _CHUNK, starts))
         masks[lo : lo + _CHUNK] = _draw_upper_masks(problem.bounds, problem.n, rngs)
     return masks
 

@@ -248,7 +248,7 @@ class TestWeightFunctions:
     """The stacked builder behind every public weight-function constructor."""
 
     @pytest.mark.parametrize("free", [True, False], ids=["free", "no-free-edges"])
-    @pytest.mark.parametrize("k", [0, 1, 7])
+    @pytest.mark.parametrize("k", [0, 1, 7, 513])
     def test_stack_matches_the_single_mask_recipe(self, k, free):
         for seed in range(6):
             bounds, _, _ = generate_instance(GenParams(s=2 + seed, seed=seed))
@@ -261,6 +261,14 @@ class TestWeightFunctions:
                 offdiag, loop = split_weight_matrix(bounds, mask)
                 assert w.offdiag.tobytes() == offdiag.tobytes()
                 assert w.loop.tobytes() == loop.tobytes()
+
+    def test_caller_arrays_are_copied(self):
+        offdiag = np.array([[0.0, 0.3], [0.3, 0.0]])
+        loop = np.array([0.7, 0.7])
+        w = WeightFunction(offdiag, loop)
+        offdiag[0, 1] = loop[0] = 5.0
+        assert w.offdiag[0, 1] == 0.3 and w.loop[0] == 0.7
+        assert not w.offdiag.flags.writeable and not w.loop.flags.writeable
 
 
 class TestEdgeGradient:

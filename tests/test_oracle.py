@@ -1,6 +1,7 @@
 """Exhaustive enumeration oracle: candidate lists, exact bounds, refusals."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ class TestEnumerateExtremal:
         monkeypatch.setattr(oracle, "_extremal_masks", None)
         with pytest.raises(BudgetExceededError, match=r"21 free edges .* over the cap of 2\^20"):
             enumerate_extremal(bounds)
+
+    def test_holds_one_block_of_the_weight_stack(self):
+        # each WeightFunction copies its arrays, so the build may hold only a
+        # block of the (2^e, s, s) stack beside the functions it keeps
+        bounds, q, f = generate_instance(GenParams(s=7, seed=0))
+        assert len(bounds.free_edges) == 15
+        one_step_minimizer(bounds, q, f)  # builds the bounds' cached index arrays
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pairs = enumerate_extremal(bounds)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 2**15
+        assert peak <= 1.1 * retained
 
 
 class TestExactBounds:
