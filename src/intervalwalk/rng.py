@@ -7,11 +7,11 @@ execution order or worker count.
 `substream` builds one stream through numpy's `SeedSequence` and `PCG64`.
 `substreams` walks a block of consecutive substreams (seed, idx): it hashes
 the whole block's entropy in one uint32 numpy pass (numpy's SeedSequence
-mix with its pool of 4 words), runs PCG64's seeding step on Python ints,
-and sets one reused Generator to each row's state in turn.  Every row's
-state equals that of `substream(seed, idx)`, and each block's first row is
-checked against numpy itself, so a numpy that seeded differently would
-raise instead of shifting the streams.
+mix with its pool of 4 words) into each row's `generate_state(4, uint64)`
+words, and numpy's own PCG64 seeds each row's generator from its words.
+Every row's stream equals that of `substream(seed, idx)`, and each block's
+first row is checked against numpy's SeedSequence itself, so a numpy that
+hashed differently would raise instead of shifting the streams.
 """
 
 from __future__ import annotations
@@ -19,11 +19,21 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+from .graph import _check_integers
+
+
+def _seed_sequence(seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
+    """numpy's SeedSequence for (seed, *path); a ValueError names an argument
+    that is not an integer, and SeedSequence raises one for a negative."""
+    _check_integers(seed=seed, **{f"path[{i}]": p for i, p in enumerate(path)})
+    return np.random.SeedSequence([int(seed), *(int(p) for p in path)])
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for the substream addressed by (seed, *path)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *(int(p) for p in path)]))
+    return np.random.default_rng(_seed_sequence(seed, path))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -35,9 +45,6 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL = 4
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _words(value: int) -> list[int]:
@@ -49,9 +56,10 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) seeded by `SeedSequence(row)` for each row of
-    `entropy`, a (rows, words) uint32 array of assembled entropy words."""
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(row).generate_state(4, uint64)` for each row of `entropy`,
+    a (rows, words) uint32 array of assembled entropy words, as one C-ordered
+    (rows, 4) uint64 array."""
     rows, length = entropy.shape
     hash_const = _INIT_A
 
@@ -77,7 +85,7 @@ def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
             pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
 
     # generate_state(4, uint64): eight words cycled from the pool, read as
-    # little-endian pairs, then PCG64's srandom on (seed, inc) 128-bit halves
+    # little-endian pairs
     hash_const = _INIT_B
     state = np.empty((rows, 8), dtype=np.uint64)
     for i in range(8):
@@ -85,32 +93,38 @@ def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         state[:, i] = value ^ (value >> np.uint32(16))
-    halves = (state[:, 0::2] | state[:, 1::2] << np.uint64(32)).tolist()
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in halves:
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return out
+    return np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << np.uint64(32))
+
+
+class _SeedWords(ISeedSequence):
+    """One row of `_seed_words`, handed to numpy's PCG64, which asks its seed
+    sequence for exactly `generate_state(4, uint64)` and seeds from that."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only generate_state(4, uint64) is held, got ({n_words}, {np.dtype(dtype)})")
+        return self._words
 
 
 def substreams(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    """For idx in range(lo, hi), in order, a Generator in the state that
-    `substream(seed, idx)` starts in.
+    """For idx in range(lo, hi), in order, a new Generator that draws what
+    `substream(seed, idx)` draws.
 
-    One Generator is reused and re-seeded for each row, so draw from a row
-    before advancing to the next.  Raises RuntimeError if the block's first
-    row disagrees with numpy's own SeedSequence/PCG64 seeding, and
-    ValueError if `seed` or `lo` is negative, as SeedSequence does.
+    Raises RuntimeError if the block's first row disagrees with numpy's own
+    SeedSequence, and ValueError if an argument is not an integer or `seed`
+    or `lo` is negative, as SeedSequence does.
     """
+    _check_integers(seed=seed, lo=lo, hi=hi)
     seed, lo, hi = int(seed), int(lo), int(hi)
     if seed < 0 or lo < 0:
         raise ValueError(f"substreams needs a non-negative seed and lo, got seed={seed}, lo={lo}")
-    if hi <= lo:
-        return
     prefix = _words(seed)
+    numpy_first = np.random.SeedSequence([seed, lo]).generate_state(4, np.uint64)
     # an idx below 2^32 is one entropy word, one below 2^64 two, and so on;
     # each run of rows with the same word count is hashed in one pass
-    states: list[tuple[int, int]] = []
     start = lo
     while start < hi:
         width = len(_words(start))
@@ -120,30 +134,17 @@ def substreams(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
         entropy[:, : len(prefix)] = prefix
         for w in range(width):
             entropy[:, len(prefix) + w] = (idx >> (32 * w)) & _MASK32
-        states += _pcg64_states(entropy)
+        words = _seed_words(entropy)
+        if start == lo and not np.array_equal(words[0], numpy_first):
+            raise RuntimeError(f"substreams({seed}, {lo}, {hi}) disagrees with numpy's SeedSequence seeding")
+        for row in words:
+            yield np.random.Generator(np.random.PCG64(_SeedWords(row)))
         start = stop
-
-    gen = np.random.Generator(np.random.PCG64(0))
-    bit_gen = gen.bit_generator
-    numpy_state = np.random.PCG64(np.random.SeedSequence([seed, lo])).state["state"]
-    if (numpy_state["state"], numpy_state["inc"]) != states[0]:
-        raise RuntimeError(
-            f"substreams({seed}, {lo}, {hi}) disagrees with numpy's SeedSequence/PCG64 seeding"
-        )
-    for state, inc in states:
-        bit_gen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """Stable nonnegative 63-bit seed for the substream addressed by (seed, *path)."""
-    ss = np.random.SeedSequence([int(seed), *(int(p) for p in path)])
-    return int(ss.generate_state(1, np.uint64)[0] >> np.uint64(1))
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0] >> np.uint64(1))
 
 
 def exponential(rng: np.random.Generator, mean: float, size=None) -> np.ndarray:

@@ -13,7 +13,7 @@ from intervalwalk import (
     load_instance,
     save_instance,
 )
-from intervalwalk import experiments
+from intervalwalk import cli, experiments
 from intervalwalk.cli import main
 
 
@@ -184,6 +184,24 @@ class TestOracleCommand:
         assert main(["oracle", str(example_file), "--budget", "1"]) == 1
         assert "budget" in capsys.readouterr().err
 
+    def test_invalid_instance_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        doc = {
+            "states": ["a", "b"],
+            "lower": [[0.0, 0.2], [0.2, 0.0]],
+            "upper": [[0.0, 0.9], [0.9, 0.0]],
+            "marginal": [0.5, 1.0],
+            "q": [1.0, 0.0],
+            "f": [0.0, 1.0],
+            "steps": 2,
+        }
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["oracle", str(path), "--out", str(tmp_path / "oracle.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: instance is not valid:" in captured.err and "FEASIBILITY" in captured.err
+        assert not (tmp_path / "oracle.json").exists()
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_exits_two(self, example_file, capsys, budget):
         assert main(["oracle", str(example_file), "--budget", budget]) == 2
@@ -272,7 +290,11 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "config,flags,message",
         [
+            pytest.param([{"cells": [[3, 2]]}], [], "experiment config must be a JSON object", id="not-an-object"),
             pytest.param({"bogus": 1}, [], "unknown config fields: bogus", id="unknown-field"),
+            pytest.param({"cells": []}, [], "need at least one (vertices, steps) cell", id="no-cells"),
+            pytest.param({"instances": 0}, [], "instances and starts must be at least 1", id="no-instances"),
+            pytest.param({"starts": 0}, [], "instances and starts must be at least 1", id="no-starts"),
             pytest.param({"cells": 5}, [], "cells must be a list", id="cells-not-a-list"),
             pytest.param({"cells": [[4, 2.5]]}, [], "bad cell (4, 2.5)", id="cell-not-integer"),
             pytest.param({"instances": "3"}, [], "instances must be an integer", id="instances-string"),
@@ -414,6 +436,15 @@ class TestOutCheckedFirst:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: cannot write {tmp_path}: Is a directory" in captured.err
+
+    def test_bounds_unwritable_directory(self, example_file, tmp_path, capsys, monkeypatch):
+        # root writes anywhere, so the permission check is answered here
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        out = str(tmp_path / "x.json")
+        assert main(["bounds", str(example_file), "--starts", "4", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {out}: Permission denied" in captured.err
 
     def test_experiment_runs_no_multistart(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -74,6 +74,11 @@ class TestStateSpace:
         with pytest.raises(ValueError):
             StateSpace(("a",))
 
+    @pytest.mark.parametrize("labels", ["ab", 2])
+    def test_rejects_non_list(self, labels):
+        with pytest.raises(ValueError, match="states must be a list of labels"):
+            StateSpace(labels)
+
 
 class TestConstruction:
     def test_dimension_mismatch_is_structural(self):
@@ -92,6 +97,10 @@ class TestConstruction:
     def test_diagonal_must_be_zero(self):
         with pytest.raises(ValueError):
             IntervalBounds([[0.1, 0.2], [0.2, 0.0]], [[0.0, 0.9], [0.9, 0.0]], [1.0, 1.0])
+
+    def test_rejects_single_state(self):
+        with pytest.raises(ValueError, match="need at least two states"):
+            IntervalBounds([[0.0]], [[0.0]], [1.0])
 
 
 class TestValidate:
@@ -262,6 +271,18 @@ class TestWeightFunctions:
                 assert w.offdiag.tobytes() == offdiag.tobytes()
                 assert w.loop.tobytes() == loop.tobytes()
 
+    @pytest.mark.parametrize(
+        "offdiag, loop, message",
+        [
+            pytest.param([0.0, 0.3], [0.7, 0.7], r"offdiag must be square, got shape \(2,\)", id="vector"),
+            pytest.param([[0.0, 0.3, 0.1], [0.3, 0.0, 0.1]], [0.7, 0.7], "offdiag must be square", id="non-square"),
+            pytest.param([[0.0, 0.3], [0.3, 0.0]], [0.7], "loop vector length must match", id="short-loop"),
+        ],
+    )
+    def test_shapes_checked(self, offdiag, loop, message):
+        with pytest.raises(ValueError, match=message):
+            WeightFunction(offdiag, loop)
+
     def test_caller_arrays_are_copied(self):
         offdiag = np.array([[0.0, 0.3], [0.3, 0.0]])
         loop = np.array([0.7, 0.7])
@@ -391,6 +412,16 @@ class TestEdgeSelection:
         assert selection.choice(1, 0) is EdgeChoice.UPPER
         with pytest.raises(KeyError):
             selection.choice(0, 2)
+
+    def test_one_choice_per_edge(self, two_state):
+        with pytest.raises(ValueError, match="one choice per edge required"):
+            EdgeSelection(two_state.bounds.free_edges, (EdgeChoice.UPPER, EdgeChoice.LOWER))
+
+    @pytest.mark.parametrize("build", [EdgeSelection.from_upper_mask, weight_matrix_from_mask])
+    @pytest.mark.parametrize("mask", [[], [True, False], [[True]]])
+    def test_mask_length_checked(self, two_state, build, mask):
+        with pytest.raises(ValueError, match="mask length does not match the free edges"):
+            build(two_state.bounds, mask)
 
     def test_equality_is_by_choices(self, two_state):
         edges = two_state.bounds.free_edges

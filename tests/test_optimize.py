@@ -442,6 +442,10 @@ class TestMultistart:
         with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
             OptimizationProblem(two_state.bounds, two_state.q, two_state.f, n)
 
+    def test_zero_steps_rejected(self, two_state):
+        with pytest.raises(ValueError, match="need at least one step"):
+            OptimizationProblem(two_state.bounds, two_state.q, two_state.f, 0)
+
     @pytest.mark.parametrize(
         "starts, seed, message",
         [

@@ -1,5 +1,7 @@
 """Addressable random streams: block seeding against numpy's own, pinned values."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,28 @@ class TestSubstreams:
             assert state == ref_state
             np.testing.assert_array_equal(draw, ref_draw)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("lo, hi", RANGES)
+    def test_generators_are_independent(self, seed, lo, hi):
+        # every row keeps its own stream after the walk moves on
+        gens = list(substreams(seed, lo, hi))
+        assert len({id(g) for g in gens}) == hi - lo
+        for idx, gen in reversed(list(enumerate(gens, lo))):
+            draw = gen.permuted(np.arange(7.0))
+            np.testing.assert_array_equal(draw, substream(seed, idx).permuted(np.arange(7.0)))
+
+    def test_seed_words_handoff(self):
+        # numpy's PCG64 asks its seed sequence for (4, uint64) words and seeds
+        # from their memory, so the adapter serves that request and no other
+        (words,) = rng._seed_words(np.array([[0, 3]], dtype=np.uint32))
+        handoff = rng._SeedWords(words)
+        state = handoff.generate_state(4, np.uint64)
+        assert state.dtype == np.uint64 and state.shape == (4,) and state.flags.c_contiguous
+        np.testing.assert_array_equal(state, np.random.SeedSequence([0, 3]).generate_state(4, np.uint64))
+        for n_words, dtype in [(4, np.uint32), (2, np.uint64), (8, np.uint32)]:
+            with pytest.raises(ValueError, match="only generate_state"):
+                handoff.generate_state(n_words, dtype)
+
     def test_empty_range_yields_nothing(self):
         assert list(substreams(3, 5, 5)) == []
         assert list(substreams(3, 5, 4)) == []
@@ -49,6 +73,27 @@ class TestSubstreams:
         monkeypatch.setattr(rng, "_MULT_B", rng._MULT_B ^ 1)
         with pytest.raises(RuntimeError, match=r"substreams\(0, 0, 4\) disagrees"):
             next(substreams(0, 0, 4))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: substream(2.7), "seed must be an integer, got 2.7", id="substream-seed"),
+        pytest.param(lambda: substream(0, 1, 2.5), "path[1] must be an integer, got 2.5", id="substream-path"),
+        pytest.param(lambda: next(substreams(0, 1.5, 4)), "lo must be an integer, got 1.5", id="substreams-lo"),
+        pytest.param(lambda: next(substreams(0, 0, 4.0)), "hi must be an integer, got 4.0", id="substreams-hi"),
+        pytest.param(lambda: next(substreams(True, 0, 4)), "seed must be an integer, got True", id="substreams-bool"),
+        pytest.param(lambda: derive_seed(True), "seed must be an integer, got True", id="derive-seed-bool"),
+        pytest.param(
+            lambda: derive_seed(0, np.float64(1.0)),
+            "path[0] must be an integer, got np.float64(1.0)",
+            id="derive-seed-path",
+        ),
+    ],
+)
+def test_non_integer_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestRandomStarts:
