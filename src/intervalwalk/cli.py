@@ -306,15 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; the only place where an exception becomes an exit code.
 
-    A budget refusal exits 1; bad input (ValueError, GenerationError) and a
-    failed write (OSError: every read error is already a ValueError) exit 2.
+    A budget refusal exits 1; bad input (ValueError, GenerationError), a
+    request too large for memory (MemoryError) and a failed write (OSError:
+    every read error is already a ValueError) exit 2.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:
         return _fail(str(exc), 1)
-    except (ValueError, GenerationError) as exc:
+    except (ValueError, GenerationError, MemoryError) as exc:
         return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(f"cannot write {exc.filename or args.out}: {exc.strerror or exc}", 2)

@@ -286,12 +286,13 @@ def _check_states(bounds: IntervalBounds, w: WeightFunction) -> None:
         raise ValueError(f"weight function has {w.size} states, the bounds have {bounds.size}")
 
 
-def _check_admissible(bounds: IntervalBounds, schedule) -> None:
-    """Raise ValueError, naming the step, unless every weight function of a
-    nonempty `schedule` is admissible for `bounds` to `TOL` (relative,
-    floored at 1): s x s with a symmetric off-diagonal, each edge weight
-    within its [lower, upper] (a fixed edge at its value), loops >= -TOL and
-    row sums W(x)."""
+def _checked_weights(bounds: IntervalBounds, schedule) -> np.ndarray:
+    """The (n, s, s) weight matrices of a nonempty `schedule`, loops on the
+    diagonal, bit for bit `np.array([w.matrix for w in schedule])`.  Raises
+    ValueError, naming the step, unless every weight function is admissible
+    for `bounds` to `TOL` (relative, floored at 1): s x s with a symmetric
+    off-diagonal, each edge weight within its [lower, upper] (a fixed edge at
+    its value), loops >= -TOL and row sums W(x)."""
     s = bounds.size
     for k, w in enumerate(schedule):
         if w.size != s:
@@ -316,6 +317,9 @@ def _check_admissible(bounds: IntervalBounds, schedule) -> None:
         if not ok.all():
             step = (~ok).reshape(len(ok), -1).any(axis=1).argmax()
             raise ValueError(f"step {step} is not admissible: {what}")
+    # the checked stack becomes the weight matrices, loops on the diagonal
+    off.reshape(len(off), -1)[:, :: s + 1] = loops
+    return off
 
 
 class ViolationCode(str, enum.Enum):
@@ -577,6 +581,21 @@ def one_step_minimizer(bounds: IntervalBounds, q, f) -> tuple[WeightFunction, Ed
     return _weight_functions(bounds, mask[None])[0], EdgeSelection.from_upper_mask(bounds, mask)
 
 
+def _upper_masks(bounds: IntervalBounds, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint masks of a (k, s, s) stack of weight matrices, as a (k, e)
+    boolean array, and a (k,) flag per row that is True when the row is
+    extremal: every free edge weight matches one of its endpoints, relative to
+    `TOL` with a floor of 1 (the largest of 1, the weight and the endpoint).
+    An interval narrower than the tolerance reads as its lower endpoint.  The
+    mask of a row that is not extremal is meaningless."""
+    i, j = bounds._free_idx
+    vals = weights[:, i, j]
+    scale = np.maximum(1.0, np.abs(vals))
+    at_lower = np.abs(vals - bounds.free_lower) <= TOL * np.maximum(scale, np.abs(bounds.free_lower))
+    at_upper = np.abs(vals - bounds.free_upper) <= TOL * np.maximum(scale, np.abs(bounds.free_upper))
+    return at_upper & ~at_lower, (at_lower | at_upper).all(axis=1)
+
+
 def selection_of(bounds: IntervalBounds, w: WeightFunction) -> EdgeSelection | None:
     """Recover the endpoint selection that reproduces `w`, or None.
 
@@ -586,13 +605,5 @@ def selection_of(bounds: IntervalBounds, w: WeightFunction) -> EdgeSelection | N
     ValueError.
     """
     _check_states(bounds, w)
-    i, j = bounds._free_idx
-    vals = w.offdiag[i, j]
-    scale = np.maximum(1.0, np.abs(vals))
-    at_lower = np.abs(vals - bounds.free_lower) <= TOL * np.maximum(scale, np.abs(bounds.free_lower))
-    at_upper = np.abs(vals - bounds.free_upper) <= TOL * np.maximum(scale, np.abs(bounds.free_upper))
-    if not np.all(at_lower | at_upper):
-        return None
-    # prefer the lower endpoint when an interval is narrower than the tolerance
-    mask = at_upper & ~at_lower
-    return EdgeSelection.from_upper_mask(bounds, mask)
+    (mask,), (extremal,) = _upper_masks(bounds, w.offdiag[None])
+    return EdgeSelection.from_upper_mask(bounds, mask) if extremal else None

@@ -33,19 +33,19 @@ from .graph import (
     EdgeSelection,
     IntervalBounds,
     WeightFunction,
-    _check_admissible,
     _check_integers,
     _check_seed,
     _checked_vectors,
+    _checked_weights,
     _extremal_masks,
     _gradient_upper_mask,
     _selections_from_masks,
     _transitions_from_masks,
+    _upper_masks,
     _weight_functions,
-    selection_of,
     weight_from_selection,
 )
-from .oracle import BudgetExceededError
+from .oracle import _check_budget
 
 
 class Sense(enum.Enum):
@@ -166,7 +166,7 @@ def improve_at(
     schedule's value.  Every step must be admissible for the problem's
     bounds (ValueError naming the step otherwise).
     """
-    mats = _checked_transitions(problem, tuple(schedule), "schedule", k)
+    mats = _checked_schedule(problem, tuple(schedule), "schedule", k) / problem.bounds.marginal[:, None]
     ql = problem.q
     for mat in mats[:k]:
         ql = ql @ mat
@@ -178,20 +178,20 @@ def improve_at(
     return _weight_functions(problem.bounds, mask[None])[0], sign * float(value)
 
 
-def _checked_transitions(problem, schedule, name, k=0) -> np.ndarray:
-    """The (n, s, s) transition matrices of `schedule`, a tuple of weight
-    functions, after the checks `improve_at` and `local_optimize` share, in
-    this order: it has the problem's n steps (a ValueError calls it `name`),
-    step index `k` is an integer in range (an IndexError when out of range;
-    the default 0 always is, as n >= 1), and every step is admissible for
-    the problem's bounds (a ValueError names the step)."""
+def _checked_schedule(problem, schedule, name, k=0) -> np.ndarray:
+    """The (n, s, s) weight matrices of `schedule`, a tuple of weight
+    functions, loops on the diagonal, after the checks `improve_at` and
+    `local_optimize` share, in this order: it has the problem's n steps (a
+    ValueError calls it `name`), step index `k` is an integer in range (an
+    IndexError when out of range; the default 0 always is, as n >= 1), and
+    every step is admissible for the problem's bounds (a ValueError names
+    the step).  Each caller divides by the marginals once."""
     if len(schedule) != problem.n:
         raise ValueError(f"{name} has {len(schedule)} steps, problem wants {problem.n}")
     _check_integers(k=k)
     if not 0 <= k < problem.n:
         raise IndexError(f"step index {k} out of range for {problem.n} steps")
-    _check_admissible(problem.bounds, schedule)
-    return np.array([w.matrix for w in schedule]) / problem.bounds.marginal[:, None]
+    return _checked_weights(problem.bounds, schedule)
 
 
 def _candidate(bounds, ql, fr):
@@ -318,17 +318,13 @@ def local_optimize(
     the MIN problem of -f.  The descent is the multistart kernel run on a
     chunk of one start.
     """
-    start = tuple(start)
-    mats = _checked_transitions(problem, start, "start")
-    bounds = problem.bounds
-    selections = [selection_of(bounds, w) for w in start]
-    masks = np.zeros((1, problem.n, len(bounds.free_edges)), dtype=bool)
-    for k, sel in enumerate(selections):
-        if sel is not None:
-            masks[0, k] = sel.upper_mask()
-    pinned = np.array([[sel is not None for sel in selections]])
-    (run,) = _descend_chunk(problem, masks, mats[None], pinned, order)
-    return _local_optimum(bounds, run)
+    weights = _checked_schedule(problem, tuple(start), "start")
+    # an interior step is not pinned: it takes its candidate on first visit,
+    # so its mask is never read
+    masks, pinned = _upper_masks(problem.bounds, weights)
+    weights /= problem.bounds.marginal[:, None]
+    (run,) = _descend_chunk(problem, masks[None], weights[None], pinned[None], order)
+    return _local_optimum(problem.bounds, run)
 
 
 def _draw_upper_masks(bounds: IntervalBounds, n: int, rngs) -> np.ndarray:
@@ -459,11 +455,12 @@ def multistart_exhaustive(problem: OptimizationProblem) -> MultistartReport:
     (BudgetExceededError) beyond `EXHAUSTIVE_BUDGET` starts.
     """
     e = len(problem.bounds.free_edges)
-    total = (1 << e) ** problem.n
-    if total > EXHAUSTIVE_BUDGET:
-        raise BudgetExceededError(
-            f"exhaustive multistart over {e} free edges and {problem.n} steps needs "
-            f"{total} starts, over the budget of {EXHAUSTIVE_BUDGET}"
-        )
-    starts = _extremal_masks(e * problem.n).reshape(total, problem.n, e)
+    _check_budget(
+        e,
+        problem.n,
+        EXHAUSTIVE_BUDGET,
+        f"exhaustive multistart over {e} free edges and {problem.n} steps needs "
+        f"{{count}} starts, over the budget of {EXHAUSTIVE_BUDGET}",
+    )
+    starts = _extremal_masks(e * problem.n).reshape(1 << e * problem.n, problem.n, e)
     return _aggregate(problem, starts, SweepOrder.LEFT_TO_RIGHT, None)

@@ -60,17 +60,34 @@ def enumerate_extremal(bounds: IntervalBounds) -> list[tuple[EdgeSelection, Weig
     return list(zip(_selections_from_masks(bounds, masks), _weight_functions(bounds, masks)))
 
 
+def _check_budget(e: int, n: int, budget: int, message: str) -> None:
+    """Raise BudgetExceededError with `message`, its `{count}` filled in,
+    when (2^e)^n exceeds `budget` >= 1.  Decided from the exponent, as
+    2^(e·n) > budget exactly when e·n >= budget.bit_length(), so no large
+    integer is built; a count of more than 64 bits is written 2^(e·n)."""
+    if e * n >= int(budget).bit_length():
+        count = str(1 << e * n) if e * n < 64 else f"2^{e * n}"
+        raise BudgetExceededError(message.format(count=count))
+
+
 def _prefix_masses(stack: np.ndarray, ql: np.ndarray, steps: int):
     """Depth first, in ascending prefix index, the mass `ql` pushed through
-    each of the m^`steps` prefixes of `steps` >= 1 steps drawn from the
-    (m, s, s) transition stack.  The last step yields the rows of one push,
-    so no generator is made per prefix."""
-    pushed = np.einsum("x,mxy->my", ql, stack)
-    if steps == 1:
-        yield from pushed
-    else:
-        for row in pushed:
-            yield from _prefix_masses(stack, row, steps - 1)
+    each of the m^`steps` prefixes of `steps` >= 0 steps drawn from the
+    (m, s, s) transition stack.  An explicit stack of (steps left, mass)
+    pairs stands in for recursion, so any depth runs; the last step yields
+    the rows of one push."""
+    todo = [(steps, ql)]
+    while todo:
+        left, mass = todo.pop()
+        if not left:
+            yield mass
+            continue
+        pushed = np.einsum("x,mxy->my", mass, stack)
+        if left == 1:
+            yield from pushed
+        else:
+            # reversed, so the first row is popped first
+            todo.extend((left - 1, row) for row in pushed[::-1])
 
 
 def exact_bounds(
@@ -99,12 +116,13 @@ def exact_bounds(
     q, f = _checked_vectors(bounds, q=q, f=f)
     e = len(bounds.free_edges)
     _check_cap(e)
-    total = (1 << e) ** n
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumerating {n} steps over {e} free edges needs (2^{e})^{n} = {total} "
-            f"evaluations, over the budget of {budget}"
-        )
+    _check_budget(
+        e,
+        n,
+        budget,
+        f"enumerating {n} steps over {e} free edges needs (2^{e})^{n} = {{count}} "
+        f"evaluations, over the budget of {budget}",
+    )
     if n == 0:
         value = float(q @ f)
         return ExactBounds(value, value, ((),), ((),))
@@ -120,8 +138,7 @@ def exact_bounds(
         return low <= lo + ARGOPT_ATOL or high >= hi - ARGOPT_ATOL
 
     # a leaf block is one prefix of n - 1 steps with the values of its m last steps
-    prefixes = _prefix_masses(stack, q, n - 1) if n > 1 else (q,)
-    for index, ql in enumerate(prefixes):
+    for index, ql in enumerate(_prefix_masses(stack, q, n - 1)):
         values = np.einsum("x,mxy->my", ql, stack) @ f
         low, high = float(values.min()), float(values.max())
         if low < lo or high > hi:
@@ -131,9 +148,11 @@ def exact_bounds(
             kept.append((index, values))
 
     def schedules(hit) -> tuple[tuple[EdgeSelection, ...], ...]:
-        flat = [index * m + k for index, values in kept for k in np.flatnonzero(hit(values))]
-        rows = np.stack(np.unravel_index(flat, (m,) * n), axis=-1)
-        return tuple(_selections_from_masks(bounds, table[r]) for r in rows)
+        flat = [index * m + int(k) for index, values in kept for k in np.flatnonzero(hit(values))]
+        # each schedule's n base-m digits, first step most significant, read
+        # in Python integers: numpy caps an index tuple at 64 dimensions
+        powers = [m**p for p in reversed(range(n))]
+        return tuple(_selections_from_masks(bounds, table[[i // p % m for p in powers]]) for i in flat)
 
     return ExactBounds(
         lo,

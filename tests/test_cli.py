@@ -13,7 +13,7 @@ from intervalwalk import (
     load_instance,
     save_instance,
 )
-from intervalwalk import cli, experiments
+from intervalwalk import cli, experiments, optimize
 from intervalwalk.cli import main
 
 
@@ -169,6 +169,17 @@ class TestBoundsCommand:
         assert not out.exists()
 
 
+    def test_start_array_too_large_for_memory_exits_two(self, example_file, tmp_path, capsys, monkeypatch):
+        def refuse(problem, starts, seed):
+            raise MemoryError(f"cannot hold {starts} starts")
+
+        monkeypatch.setattr(optimize, "_random_starts", refuse)
+        out = tmp_path / "record.json"
+        assert main(["bounds", str(example_file), "--starts", "10000000000000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cannot hold 10000000000000 starts\n"
+        assert not out.exists()
+
+
 class TestOracleCommand:
     def test_exact_bounds(self, example_file, tmp_path, capsys):
         out = tmp_path / "oracle.json"
@@ -201,6 +212,35 @@ class TestOracleCommand:
         assert captured.out == ""
         assert "error: instance is not valid:" in captured.err and "FEASIBILITY" in captured.err
         assert not (tmp_path / "oracle.json").exists()
+
+    def test_budget_refusal_past_the_digit_limit(self, tmp_path, capsys):
+        # (2^8)^2000 has 4817 decimal digits, past Python's int-to-str limit
+        path = tmp_path / "wide.json"
+        assert main(["gen", "--vertices", "5", "--steps", "2000", "--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: enumerating 2000 steps over 8 free edges needs (2^8)^2000 = 2^16000 "
+            "evaluations, over the budget of 16777216\n"
+        )
+
+    def test_no_free_edges_past_64_steps(self, tmp_path, capsys):
+        # one schedule of 65 steps: more steps than numpy has array dimensions
+        path = tmp_path / "fixed.json"
+        doc = {
+            "states": ["a", "b"],
+            "lower": [[0.0, 0.5], [0.5, 0.0]],
+            "upper": [[0.0, 0.5], [0.5, 0.0]],
+            "marginal": [1.0, 1.0],
+            "q": [1.0, 0.0],
+            "f": [0.0, 1.0],
+            "steps": 65,
+        }
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["oracle", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "exact lower bound: 0.5 (1 optimal schedules)\nexact upper bound: 0.5 (1 optimal schedules)\n"
+        )
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_exits_two(self, example_file, capsys, budget):

@@ -25,7 +25,7 @@ from intervalwalk import (
     weight_from_selection,
     weight_matrix_from_mask,
 )
-from intervalwalk.graph import _extremal_masks, _weight_functions, _weights_from_masks
+from intervalwalk.graph import _checked_weights, _extremal_masks, _weight_functions, _weights_from_masks
 from intervalwalk.oracle import enumerate_extremal
 
 
@@ -290,6 +290,26 @@ class TestWeightFunctions:
         offdiag[0, 1] = loop[0] = 5.0
         assert w.offdiag[0, 1] == 0.3 and w.loop[0] == 0.7
         assert not w.offdiag.flags.writeable and not w.loop.flags.writeable
+
+
+class TestCheckedWeights:
+    """The start check returns the weight stack it checked."""
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_stack_is_the_matrices_byte_for_byte(self, n):
+        for seed in range(6):
+            bounds, _, _ = generate_instance(GenParams(s=2 + seed, seed=seed))
+            rng = np.random.default_rng(seed)
+            schedule = []
+            for k in range(n):
+                w = random_weight(bounds, rng)
+                if k % 2:
+                    # a stored diagonal is not a weight; the loops replace it
+                    w = WeightFunction(w.offdiag + np.diag(rng.random(bounds.size)), w.loop)
+                schedule.append(w)
+            weights = _checked_weights(bounds, schedule)
+            assert weights.dtype == float and weights.shape == (n, bounds.size, bounds.size)
+            assert weights.tobytes() == np.array([w.matrix for w in schedule]).tobytes()
 
 
 class TestEdgeGradient:

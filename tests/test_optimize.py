@@ -236,6 +236,24 @@ class TestLocalOptimize:
                     assert sel is not None and len(sel) == len(bounds.free_edges)
                 assert 1 <= result.sweeps <= 2 ** (len(bounds.free_edges) * n)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_selection_build_per_step(self, monkeypatch, n):
+        # the start is read once, into masks: only the result's n selections are built
+        bounds, q, f = generate_instance(GenParams(s=5, seed=4))
+        problem = OptimizationProblem(bounds, q, f, n)
+        start = random_extremal_schedule(bounds, n, 7)
+        build = EdgeSelection.from_upper_mask.__func__
+        calls = []
+
+        def counting(cls, bounds, mask):
+            calls.append(mask)
+            return build(cls, bounds, mask)
+
+        monkeypatch.setattr(EdgeSelection, "from_upper_mask", classmethod(counting))
+        result = local_optimize(problem, start)
+        assert len(calls) == n
+        assert len(result.selections) == n
+
     def test_interior_start_is_pinned_to_extremal(self, two_state):
         problem = two_state_problem(two_state)
         rng = np.random.default_rng(31)
@@ -715,6 +733,15 @@ class TestMultistartExhaustive:
         assert len(bounds.free_edges) == 11
         monkeypatch.setattr(optimize, "_descents", None)
         with pytest.raises(BudgetExceededError, match=f"needs {2**44} starts, over the budget of {2**16}"):
+            multistart_exhaustive(problem)
+
+    def test_budget_refusal_past_the_digit_limit(self, monkeypatch):
+        # 2^14311 has more than 4300 decimal digits, which Python refuses to
+        # format; the refusal is decided and written from the exponent
+        bounds, q, f = generate_instance(GenParams(s=6, seed=0))
+        problem = OptimizationProblem(bounds, q, f, 1301)
+        monkeypatch.setattr(optimize, "_descents", None)
+        with pytest.raises(BudgetExceededError, match=r"needs 2\^14311 starts, over the budget of 65536"):
             multistart_exhaustive(problem)
 
     @pytest.mark.parametrize("e", [0, 1, 2, 3])

@@ -8,6 +8,7 @@ import pytest
 
 from intervalwalk import (
     EdgeChoice,
+    EdgeSelection,
     GenParams,
     IntervalBounds,
     OptimizationProblem,
@@ -19,6 +20,7 @@ from intervalwalk import (
     generate_instance,
     multistart,
     one_step_minimizer,
+    weight_from_selection,
 )
 from intervalwalk import oracle
 from intervalwalk.graph import _extremal_masks
@@ -121,6 +123,24 @@ class TestExactBounds:
         for schedule in res.argmax:
             weights = tuple(weight_from_selection(bounds, sel) for sel in schedule)
             assert close(expectation(bounds, q, weights, f), res.maximum)
+
+    @pytest.mark.parametrize("n", [1, 65, 1500])
+    def test_no_free_edges_at_any_depth(self, n):
+        # one schedule, whatever n: deeper than numpy's 64 array dimensions
+        # and than Python's recursion limit
+        bounds = IntervalBounds([[0.0, 0.5], [0.5, 0.0]], [[0.0, 0.5], [0.5, 0.0]], [1.0, 1.0])
+        q, f = [1.0, 0.0], [0.0, 1.0]
+        res = exact_bounds(bounds, q, f, n)
+        assert res.argmin == res.argmax == ((EdgeSelection((), ()),) * n,)
+        value = expectation(bounds, q, [weight_from_selection(bounds, EdgeSelection((), ()))] * n, f)
+        assert res.minimum == res.maximum == value
+
+    def test_budget_is_exact_at_the_boundary(self):
+        # (2^3)^2 = 64 schedules fit a budget of 64, not one of 63
+        args = (triangle_bounds(), [1, 0, 0], [0, 0, 1], 2)
+        exact_bounds(*args, budget=64)
+        with pytest.raises(BudgetExceededError, match=r"\(2\^3\)\^2 = 64 evaluations, over the budget of 63"):
+            exact_bounds(*args, budget=63)
 
     def test_budget_refusal_names_the_numbers(self):
         bounds = triangle_bounds()
