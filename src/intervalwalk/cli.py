@@ -25,7 +25,7 @@ from .experiments import (
     run_sweep_comparison,
 )
 from .generate import _REAL_FIELDS, GenerationError, GenParams, generate_instance
-from .graph import StateSpace, validate
+from .graph import EdgeChoice, StateSpace, validate
 from .instancefile import ProblemInstance, load_instance, save_instance, write_json
 from .optimize import MultistartReport, Sense, SweepOrder, multistart
 from .oracle import BudgetExceededError, exact_bounds
@@ -70,14 +70,18 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _schedule_json(labels, selections):
-    return [
-        [[labels[x], labels[y], choice.name.lower()] for (x, y), choice in zip(sel.edges, sel.choices)]
-        for sel in selections
-    ]
+def _row_table(labels, free_edges):
+    """One shared `(label_x, label_y, "lower"|"upper")` row per free edge and
+    choice, indexed by the EdgeChoice value (LOWER = 0, UPPER = 1), so the
+    JSON writer renders each row once however many schedules hold it."""
+    return [tuple((labels[x], labels[y], choice.name.lower()) for choice in EdgeChoice) for x, y in free_edges]
 
 
-def _print_report(labels, sense: Sense, report: MultistartReport) -> None:
+def _schedule_json(table, selections):
+    return [list(map(tuple.__getitem__, table, sel.choices)) for sel in selections]
+
+
+def _print_report(table, sense: Sense, report: MultistartReport) -> None:
     kind = "lower" if sense is Sense.MIN else "upper"
     print(f"{kind} bound: {report.best.value!r}")
     word = "minima" if sense is Sense.MIN else "maxima"
@@ -85,17 +89,17 @@ def _print_report(labels, sense: Sense, report: MultistartReport) -> None:
         f"{value!r} (hits {hits})" for _, value, hits in report.unique_extrema
     )
     print(f"  unique local {word}: {len(report.unique_extrema)} [{values}]")
-    for step, edges in enumerate(_schedule_json(labels, report.best.selections), start=1):
+    for step, edges in enumerate(_schedule_json(table, report.best.selections), start=1):
         parts = ", ".join(f"{{{x},{y}}}={choice}" for x, y, choice in edges) or "(no free edges)"
         print(f"  step {step}: {parts}")
 
 
-def _report_json(labels, report: MultistartReport) -> dict:
+def _report_json(table, report: MultistartReport) -> dict:
     return {
         "value": report.best.value,
-        "schedule": _schedule_json(labels, report.best.selections),
+        "schedule": _schedule_json(table, report.best.selections),
         "unique_extrema": [
-            {"value": value, "hits": hits, "schedule": _schedule_json(labels, sels)}
+            {"value": value, "hits": hits, "schedule": _schedule_json(table, sels)}
             for sels, value, hits in report.unique_extrema
         ],
     }
@@ -116,12 +120,12 @@ def cmd_bounds(args) -> int:
         _check_out(args.out, directory=False)
     order = SweepOrder(args.strategy)
     senses = (Sense.MIN, Sense.MAX) if args.sense == "both" else (Sense(args.sense),)
-    labels = instance.states.labels
+    table = _row_table(instance.states.labels, instance.bounds.free_edges)
     results = {}
     for sense in senses:
         rep = multistart(instance.problem(sense), args.starts, args.seed, order)
-        _print_report(labels, sense, rep)
-        results[sense.value] = _report_json(labels, rep)
+        _print_report(table, sense, rep)
+        results[sense.value] = _report_json(table, rep)
     if args.out:
         payload = {
             "starts": args.starts,
@@ -143,16 +147,16 @@ def cmd_oracle(args) -> int:
     if args.out:
         _check_out(args.out, directory=False)
     result = exact_bounds(instance.bounds, instance.q, instance.f, instance.steps, budget=args.budget)
-    labels = instance.states.labels
     print(f"exact lower bound: {result.minimum!r} ({len(result.argmin)} optimal schedules)")
     print(f"exact upper bound: {result.maximum!r} ({len(result.argmax)} optimal schedules)")
     if args.out:
+        table = _row_table(instance.states.labels, instance.bounds.free_edges)
         payload = {
             "steps": instance.steps,
             "minimum": result.minimum,
             "maximum": result.maximum,
-            "argmin": [_schedule_json(labels, sched) for sched in result.argmin],
-            "argmax": [_schedule_json(labels, sched) for sched in result.argmax],
+            "argmin": [_schedule_json(table, sched) for sched in result.argmin],
+            "argmax": [_schedule_json(table, sched) for sched in result.argmax],
         }
         write_json(args.out, payload)
         print(f"wrote {args.out}")

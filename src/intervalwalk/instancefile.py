@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .graph import IntervalBounds, StateSpace, _check_integers, _checked_vectors
 from .optimize import OptimizationProblem, Sense
+
+_INDENT = "  "
+#: the JSON spellings of float.__repr__'s "nan", "inf" and "-inf"
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 _FIELDS = ("states", "lower", "upper", "marginal", "q", "f", "steps")
 
@@ -96,13 +101,102 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     return ProblemInstance(states, bounds, data["q"], data["f"], data["steps"])
 
 
+def _scalar_text(value):
+    """JSON text of a string, number, bool or None, as `json` writes it;
+    None for anything else."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_NAMES.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return None
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        text = _scalar_text(key)
+        if text is None:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        key = text
+    return encode_basestring_ascii(key)
+
+
 def write_json(path, payload) -> None:
-    """Write `payload` to `path` as JSON indented by 2, plus a final newline.
+    """Write `payload` to `path` as JSON indented by 2, plus a final newline:
+    the bytes of `json.dump(payload, fh, indent=2)` and a newline.  A value
+    `json` cannot encode raises TypeError.
 
     The document is streamed to the file, never held in memory as one string.
+    A list of scalars and tuples goes out as one string.  Each tuple (a
+    schedule row, shared by many schedules) is rendered once per depth.  The
+    memo is keyed by identity, because equal rows such as (1,), (1.0,) and
+    (True,) render differently; it lives for this call only, while the
+    payload keeps every row alive, so no id in it can be reused.
     """
+    rows = {}
+
+    def row_text(row, depth):
+        key = (id(row), depth)
+        text = rows.get(key)
+        if text is None:
+            parts = []
+            emit(row, depth, parts.append)
+            text = rows[key] = "".join(parts)
+        return text
+
+    def emit(value, depth, write):
+        text = _scalar_text(value)
+        if text is not None:
+            write(text)
+        elif isinstance(value, (list, tuple)):
+            emit_list(value, depth, write)
+        elif isinstance(value, dict):
+            emit_dict(value, depth, write)
+        else:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+    def emit_list(items, depth, write):
+        if not items:
+            write("[]")
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        close = "\n" + _INDENT * depth + "]"
+        texts = [row_text(item, depth + 1) if isinstance(item, tuple) else _scalar_text(item) for item in items]
+        if None not in texts:
+            write("[" + inner + ("," + inner).join(texts) + close)
+            return
+        opening = "[" + inner
+        for item, text in zip(items, texts):
+            write(opening)
+            if text is None:
+                emit(item, depth + 1, write)
+            else:
+                write(text)
+            opening = "," + inner
+        write(close)
+
+    def emit_dict(mapping, depth, write):
+        if not mapping:
+            write("{}")
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        opening = "{" + inner
+        for key, item in mapping.items():
+            write(opening + _key_text(key) + ": ")
+            emit(item, depth + 1, write)
+            opening = "," + inner
+        write("\n" + _INDENT * depth + "}")
+
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        emit(payload, 0, fh.write)
         fh.write("\n")
 
 

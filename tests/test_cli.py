@@ -248,6 +248,57 @@ class TestOracleCommand:
         assert f"budget must be at least 1, got {budget}" in capsys.readouterr().err
 
 
+def assert_indent_2_layout(path):
+    """The file is what json.dump(..., indent=2) and a newline would write."""
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+class TestRecordLayout:
+    @pytest.mark.parametrize("strategy", [o.value for o in optimize.SweepOrder])
+    def test_bounds_record_on_a_wide_instance(self, tmp_path, capsys, strategy):
+        inst, out = tmp_path / "wide.json", tmp_path / "record.json"
+        assert main(["gen", "--vertices", "9", "--steps", "4", "--seed", "1", "--out", str(inst)]) == 0
+        assert main(["bounds", str(inst), "--starts", "50", "--strategy", strategy, "--out", str(out)]) == 0
+        assert_indent_2_layout(out)
+        labels = StateSpace.of_size(9).labels
+        free = [[labels[x], labels[y]] for x, y in load_instance(inst).bounds.free_edges]
+        result = json.loads(out.read_text(encoding="utf-8"))["results"]["max"]
+        for step in result["schedule"]:
+            assert [row[:2] for row in step] == free
+            assert {row[2] for row in step} <= {"lower", "upper"}
+
+    def test_oracle_record_on_a_generated_instance(self, tmp_path, capsys):
+        inst, out = tmp_path / "small.json", tmp_path / "oracle.json"
+        assert main(["gen", "--vertices", "4", "--steps", "3", "--seed", "1", "--out", str(inst)]) == 0
+        assert main(["oracle", str(inst), "--out", str(out)]) == 0
+        assert_indent_2_layout(out)
+
+    def test_records_without_free_edges(self, tmp_path, capsys):
+        path = tmp_path / "fixed.json"
+        doc = {
+            "states": ["a", "b"],
+            "lower": [[0.0, 0.5], [0.5, 0.0]],
+            "upper": [[0.0, 0.5], [0.5, 0.0]],
+            "marginal": [1.0, 1.0],
+            "q": [1.0, 0.0],
+            "f": [0.0, 1.0],
+            "steps": 3,
+        }
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        bounds_out, oracle_out = tmp_path / "bounds.json", tmp_path / "oracle.json"
+        assert main(["bounds", str(path), "--starts", "4", "--out", str(bounds_out)]) == 0
+        assert main(["oracle", str(path), "--out", str(oracle_out)]) == 0
+        for out in (bounds_out, oracle_out):
+            assert_indent_2_layout(out)
+        results = json.loads(bounds_out.read_text(encoding="utf-8"))["results"]
+        for sense in ("min", "max"):
+            assert results[sense]["schedule"] == [[], [], []]
+            assert [u["schedule"] for u in results[sense]["unique_extrema"]] == [[[], [], []]]
+        record = json.loads(oracle_out.read_text(encoding="utf-8"))
+        assert record["argmin"] == record["argmax"] == [[[], [], []]]
+
+
 class TestGenCommand:
     def test_gen_validate_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "inst.json"

@@ -1,9 +1,12 @@
 """Instance file round trips and malformed-document handling."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalwalk import (
     GenParams,
@@ -13,7 +16,7 @@ from intervalwalk import (
     load_instance,
     save_instance,
 )
-from intervalwalk.instancefile import instance_from_dict, instance_to_dict
+from intervalwalk.instancefile import instance_from_dict, instance_to_dict, write_json
 
 
 def example_instance(two_state):
@@ -113,3 +116,90 @@ class TestMalformedDocuments:
         problem = inst.problem()
         assert problem.n == 2
         assert json.dumps(instance_to_dict(inst))  # serializable
+
+
+def stdlib_write(path, payload):
+    """The reference writer: json.dump with indent=2, plus a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # NaN and +-inf included
+    | st.text()  # non-ASCII and control characters included
+)
+KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+TREES = st.recursive(
+    SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(KEYS, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@st.composite
+def documents(draw):
+    """A JSON tree with one tuple object shared at several depths, and the
+    sibling rows (1,), (1.0,) and (True,), which are equal and hash alike."""
+    shared = tuple(draw(st.lists(TREES, max_size=3)))
+    tree = draw(TREES)
+    return {
+        "tree": tree,
+        "rows": [shared, (1,), (1.0,), (True,), shared, ()],
+        "deeper": [[shared], {"x": (shared, [shared])}, shared],
+        "empty": [[], (), {}],
+    }
+
+
+class TestWriteJson:
+    @settings(max_examples=300)
+    @given(doc=documents())
+    def test_writes_the_stdlib_indent_2_layout(self, doc, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "doc.json"
+        write_json(path, doc)
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+
+    def test_row_text_is_not_kept_between_calls(self, tmp_path):
+        # each freed (k,) leaves its id free for the next call's row
+        path = tmp_path / "rows.json"
+        for k in range(50):
+            write_json(path, [(k,), (k,)])
+            assert path.read_text(encoding="utf-8") == json.dumps([(k,), (k,)], indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "payload", [[1, object()], {"a": (object(),)}, {object(): 1}, [{1: [{}, b"bytes"]}]], ids=repr
+    )
+    def test_unencodable_value_raises_type_error(self, tmp_path, payload):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError) as raised:
+            write_json(tmp_path / "bad.json", payload)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("writer", [write_json, stdlib_write], ids=["write_json", "json.dump"])
+    def test_streams_the_document(self, tmp_path, writer):
+        # a bounds record's shape: schedules of rows shared from one table
+        edges = 120
+        table = [tuple((f"s{x}", f"s{x + 1}", choice) for choice in ("lower", "upper")) for x in range(edges)]
+        schedules = [
+            [[table[e][(e * step + k) % 3 == 0] for e in range(edges)] for step in range(8)] for k in range(80)
+        ]
+        payload = {"results": {"min": {"unique_extrema": [{"value": 0.5, "schedule": s} for s in schedules]}}}
+        path = tmp_path / "record.json"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            writer(path, payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 5_000_000
+        assert peak < size / 2
