@@ -234,13 +234,14 @@ def _sweep_task(args):
     fractions = {}
     for problem, seed in _problems(config, _EXP_SWEEP, ci, inst, Sense):
         starts = _random_starts(problem, config.starts, seed)
-        lr = list(_descents(problem, starts, SweepOrder.LEFT_TO_RIGHT))
-        rl = list(_descents(problem, starts, SweepOrder.RIGHT_TO_LEFT))
-        disagreements = sum(not np.array_equal(a.masks, b.masks) for a, b in zip(lr, rl))
+        lr = _descents(problem, starts.copy(), SweepOrder.LEFT_TO_RIGHT)
+        rl = _descents(problem, starts, SweepOrder.RIGHT_TO_LEFT)
+        disagreements = int(np.count_nonzero((lr.masks != rl.masks).any(axis=(1, 2))))
         fraction = fractions[problem.sense.value] = disagreements / config.starts
-        for run, (hits_lr, hits_rl) in _census(problem.sense, lr, rl):
+        _, values, hits = _census(problem.sense, lr, rl)
+        for value, (hits_lr, hits_rl) in zip(values.tolist(), hits.tolist()):
             freqs = [hits_lr / config.starts, hits_rl / config.starts]
-            rows.append([vertices, steps, inst, problem.sense.value, run.value, *freqs, fraction])
+            rows.append([vertices, steps, inst, problem.sense.value, value, *freqs, fraction])
     entry = {"vertices": vertices, "steps": steps, "instance_id": inst, "disagreement_fraction": fractions}
     return rows, entry
 
@@ -280,7 +281,7 @@ def _value_pairs(problem, seed, config) -> np.ndarray:
     """The (start value, optimized value) of each of `config.starts` starts,
     descended in `config.order`, as a (starts, 2) array."""
     runs = _descents(problem, _random_starts(problem, config.starts, seed), config.order)
-    return np.array([(run.start_value, run.value) for run in runs])
+    return np.stack([runs.start_value, runs.value], axis=1)
 
 
 def _scatter_task(args):

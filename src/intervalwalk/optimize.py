@@ -16,13 +16,20 @@ a time, and one kernel, `_descend_chunk`, runs every descent: it sweeps a
 chunk in lockstep through stacked products, and `local_optimize` is a chunk
 of one.  Each start's draws and arithmetic are bit for bit those of a start
 on its own, so no result depends on how the starts are batched.
+
+Results stay arrays until they are reported: the kernel returns one `_Runs`
+block per chunk, with a row per start and the accepted values as (row, value)
+events, and `_census` finds the distinct fixed points by one `np.unique` over
+the mask rows.  A census entry's selections are built on first read, and a
+trace only for a run that is reported.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,20 +117,63 @@ class LocalOptimum:
         return tuple(weight_from_selection(bounds, sel) for sel in self.selections)
 
 
-class _Descent(NamedTuple):
-    """A fixed point as the engine keeps it: (n, e) endpoint masks, then the rest of `LocalOptimum`."""
+class _Runs(NamedTuple):
+    """Descents as the engine keeps them, one row per start: (S, n, e)
+    endpoint masks, final and start values, sweeps and accepted improvements,
+    and every accepted value as a (row, value) event, in the order accepted.
+    Values are in the problem's own sense."""
 
     masks: np.ndarray
-    value: float
-    start_value: float
-    sweeps: int
-    improvements: int
-    trace: tuple[float, ...]
+    value: np.ndarray
+    start_value: np.ndarray
+    sweeps: np.ndarray
+    improvements: np.ndarray
+    event_rows: np.ndarray
+    event_values: np.ndarray
+
+    def optimum(self, i, selections) -> LocalOptimum:
+        """The reported form of row i, with its masks given as `selections`;
+        its trace is built here."""
+        trace = (float(self.start_value[i]), *self.event_values[self.event_rows == i].tolist())
+        return LocalOptimum(
+            selections, float(self.value[i]), trace[0], int(self.sweeps[i]), int(self.improvements[i]), trace
+        )
 
 
-def _local_optimum(bounds: IntervalBounds, run: _Descent) -> LocalOptimum:
-    """The reported form of a descent, its masks turned into selections."""
-    return LocalOptimum(_selections_from_masks(bounds, run.masks), *run[1:])
+class _Extrema(Sequence):
+    """A census as a read-only sequence of (selections, value, hits)
+    entries, best first.  It holds the entries' (U, n, e) masks, and builds
+    an entry's selections on first read and keeps them; it compares and
+    hashes like the tuple of its entries."""
+
+    def __init__(self, bounds: IntervalBounds, masks: np.ndarray, values: list[float], hits: list[int]):
+        self._bounds = bounds
+        self._masks = masks
+        self._selections: list = [None] * len(masks)
+        self.values = values
+        self._hits = hits
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        sels = self._selections[i]
+        if sels is None:
+            sels = self._selections[i] = _selections_from_masks(self._bounds, self._masks[i])
+        return sels, self.values[i], self._hits[i]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Extrema)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 #: Absolute gap below which two extremum values count as one distinct value.
@@ -136,18 +186,19 @@ EXHAUSTIVE_BUDGET = 2**16
 @dataclass(frozen=True)
 class MultistartReport:
     """Aggregate of many local descents: the best fixed point plus a census
-    of every distinct one, keyed by its canonical selection schedule."""
+    of every distinct one, keyed by its canonical selection schedule.
+    `unique_extrema` builds an entry's selections when it is first read;
+    `best` shares entry 0's."""
 
     best: LocalOptimum
-    unique_extrema: tuple[tuple[tuple[EdgeSelection, ...], float, int], ...]
+    unique_extrema: _Extrema
     starts: int
     seed: int | None
 
     def distinct_values(self) -> tuple[float, ...]:
         """Extremum values clustered at `DISTINCT_ATOL` (distinct selections can tie)."""
-        values = sorted(v for _, v, _ in self.unique_extrema)
         out: list[float] = []
-        for v in values:
+        for v in sorted(self.unique_extrema.values):
             if not out or v - out[-1] > DISTINCT_ATOL:
                 out.append(v)
         return tuple(out)
@@ -209,10 +260,10 @@ def _candidate(bounds, ql, fr):
 _CHUNK = 256
 
 
-def _descend_chunk(problem, masks, mats, pinned, order) -> list[_Descent]:
+def _descend_chunk(problem, masks, mats, pinned, order) -> _Runs:
     """Sweep single-step replacements on a chunk of starts in lockstep, until
-    each start has made a full pass that changes nothing; one `_Descent` per
-    start, in chunk order.
+    each start has made a full pass that changes nothing; one `_Runs` block
+    for the chunk, a row per start, in chunk order.
 
     Takes (B, n, e) endpoint masks, the (B, n, s, s) transition matrices of
     the start schedules and a (B, n) flag per step, False for a step not yet
@@ -228,7 +279,8 @@ def _descend_chunk(problem, masks, mats, pinned, order) -> list[_Descent]:
     start leaves the active set after a sweep with no change.  Every product
     is a stacked np.matmul or np.vecdot, bit for bit the per-start `@`, so a
     start's result does not depend on the chunk it runs in.  Results are in
-    the problem's own sense.
+    the problem's own sense.  The block's masks are the given `masks` array,
+    each row overwritten by its fixed point when its start leaves.
     """
     bounds = problem.bounds
     q = problem.q
@@ -256,9 +308,10 @@ def _descend_chunk(problem, masks, mats, pinned, order) -> list[_Descent]:
     for k in reversed(range(n)):
         pull(k)
     value = np.vecdot(q, suffix[:, 0])
-    traces = [[v] for v in value.tolist()]
+    start_value = sign * value
+    out_masks, out_value, out_sweeps = masks, np.empty(count), np.empty(count, dtype=int)
+    event_rows, event_values = [], []
     active = np.arange(count)
-    out = [None] * count
     sweeps = 0
 
     while active.size:
@@ -275,17 +328,18 @@ def _descend_chunk(problem, masks, mats, pinned, order) -> list[_Descent]:
             np.copyto(value, v_new, where=take)
             pinned[:, k] = True
             changed |= take
-            for i in better.nonzero()[0]:
-                traces[active[i]].append(float(v_new[i]))
+            event_rows.append(active[better])
+            event_values.append(v_new[better])
             advance(k)
-        done = (~changed).nonzero()[0]
+        done = ~changed
         # after a pass with no change, in either order, suffix[:, 0] is the
-        # fold of the final schedule from f, one pull per step
-        final = sign * np.vecdot(q, suffix[done, 0])
-        for i, final_value in zip(done, final.tolist()):
-            trace = tuple(sign * v for v in traces[active[i]])
-            out[active[i]] = _Descent(masks[i].copy(), final_value, trace[0], sweeps, len(trace) - 1, trace)
-        if done.size:
+        # fold of the final schedule from f, one pull per step; until the
+        # first rows leave, `masks` is `out_masks` itself
+        left = active[done]
+        out_masks[left] = masks[done]
+        out_value[left] = sign * np.vecdot(q, suffix[done, 0])
+        out_sweeps[left] = sweeps
+        if left.size:
             # the transition stack, the one large array, is compacted in
             # place a few rows at a time, so no second stack is ever held;
             # each kept row moves down, never onto a row still to be read
@@ -297,7 +351,10 @@ def _descend_chunk(problem, masks, mats, pinned, order) -> list[_Descent]:
             active, value, masks, pinned, prefix, suffix = (
                 a[changed] for a in (active, value, masks, pinned, prefix, suffix)
             )
-    return out
+    event_rows = np.concatenate(event_rows)
+    improvements = np.bincount(event_rows, minlength=count)
+    event_values = sign * np.concatenate(event_values)
+    return _Runs(out_masks, out_value, start_value, out_sweeps, improvements, event_rows, event_values)
 
 
 def local_optimize(
@@ -323,8 +380,8 @@ def local_optimize(
     # so its mask is never read
     masks, pinned = _upper_masks(problem.bounds, weights)
     weights /= problem.bounds.marginal[:, None]
-    (run,) = _descend_chunk(problem, masks[None], weights[None], pinned[None], order)
-    return _local_optimum(problem.bounds, run)
+    runs = _descend_chunk(problem, masks[None], weights[None], pinned[None], order)
+    return runs.optimum(0, _selections_from_masks(problem.bounds, runs.masks[0]))
 
 
 def _draw_upper_masks(bounds: IntervalBounds, n: int, rngs) -> np.ndarray:
@@ -369,34 +426,45 @@ def random_extremal_schedule(
     return _weight_functions(bounds, _draw_upper_masks(bounds, n, [seed])[0])
 
 
-def _census(sense: Sense, *streams) -> list[tuple[_Descent, list[int]]]:
-    """The distinct fixed points of one or more descent streams, best first.
+def _census(sense: Sense, *streams: _Runs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct fixed points of one or more `_Runs` streams, best first,
+    as three arrays: the index of the first run to reach each, counting
+    through the streams in order, its value, and its hits in each stream,
+    (U, len(streams)).
 
-    Each entry is the first run to reach a distinct mask array and its hit
-    count in each stream.  Entries are ranked by value in `sense`, ties by
-    mask bytes, which sort like the per-step choices (LOWER first, first step
-    most significant).  A value depends only on the masks, since `_descend_chunk`
-    refolds it from them, so the first run stands for every run of its key.
+    Entries are ranked by value in `sense`, ties by mask bytes, which sort
+    like the per-step choices (LOWER first, first step most significant).
+    A value depends only on the masks, since `_descend_chunk` refolds it
+    from them, so the first run stands for every run of its key.
     """
-    census: dict[bytes, tuple[_Descent, list[int]]] = {}
-    for column, runs in enumerate(streams):
-        for run in runs:
-            census.setdefault(run.masks.tobytes(), (run, [0] * len(streams)))[1][column] += 1
-    ranked = sorted(census.items(), key=lambda item: (sense.sign * item[1][0].value, item[0]))
-    return [entry for _, entry in ranked]
+    keys = np.concatenate([_mask_keys(runs.masks) for runs in streams])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    ends = np.cumsum([0, *(len(runs.masks) for runs in streams)])
+    hits = np.stack([np.bincount(inverse[lo:hi], minlength=len(first)) for lo, hi in zip(ends, ends[1:])], 1)
+    value = np.concatenate([runs.value for runs in streams])[first]
+    rank = np.argsort(sense.sign * value, kind="stable")
+    return first[rank], value[rank], hits[rank]
+
+
+def _mask_keys(masks: np.ndarray) -> np.ndarray:
+    """One opaque key per (n, e) row of `masks` that compares like its C-order bytes."""
+    rows = np.ascontiguousarray(masks).reshape(len(masks), -1)
+    if not rows.shape[1]:
+        # a schedule over no free edges has no bytes: every run reaches the
+        # one empty schedule
+        rows = np.zeros((len(rows), 1), dtype=bool)
+    return rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
 
 
 def _aggregate(problem, starts, order, seed) -> MultistartReport:
     """Descend every row of `starts`, an (S, n, e) endpoint mask array, in
     `order`, and report the census of the fixed points reached; `best` is the
-    first run to reach the best key.  Selections are built once per distinct
-    fixed point."""
-    census = _census(problem.sense, _descents(problem, starts, order))
-    unique = tuple(
-        (_selections_from_masks(problem.bounds, run.masks), run.value, hits) for run, (hits,) in census
-    )
-    best = LocalOptimum(unique[0][0], *census[0][0][1:])
-    return MultistartReport(best, unique, len(starts), seed)
+    first run to reach the best key.  Only `best`'s selections are built
+    here, the other entries' on first read."""
+    runs = _descents(problem, starts, order)
+    first, value, hits = _census(problem.sense, runs)
+    unique = _Extrema(problem.bounds, runs.masks[first], value.tolist(), hits[:, 0].tolist())
+    return MultistartReport(runs.optimum(first[0], unique[0][0]), unique, len(starts), seed)
 
 
 def _random_starts(problem, starts, seed) -> np.ndarray:
@@ -414,15 +482,21 @@ def _random_starts(problem, starts, seed) -> np.ndarray:
     return masks
 
 
-def _descents(problem, starts, order):
-    """Lazily, in start order, the `_Descent` reached from each row of
-    `starts`, an (S, n, e) endpoint mask array or a list of (n, e) rows.  The
-    rows are descended `_CHUNK` at a time, each chunk copied, since the
-    kernel consumes its masks, so `starts` can be descended again."""
-    for lo in range(0, len(starts), _CHUNK):
-        masks = np.array(starts[lo : lo + _CHUNK], dtype=bool)
-        mats = _transitions_from_masks(problem.bounds, masks)
-        yield from _descend_chunk(problem, masks, mats, np.ones(masks.shape[:2], dtype=bool), order)
+def _descents(problem, starts, order) -> _Runs:
+    """The descents from every row of `starts`, an (S, n, e) endpoint mask
+    array or a list of (n, e) rows, as one `_Runs` in start order, descended
+    `_CHUNK` rows at a time.  Like the kernel it consumes a mask array: the
+    result's masks are that array, each row overwritten by its fixed point,
+    so no second (S, n, e) array is held; descending the same starts twice
+    takes a copy."""
+    masks = np.asarray(starts, dtype=bool)
+    blocks = []
+    for lo in range(0, len(masks), _CHUNK):
+        chunk = masks[lo : lo + _CHUNK]
+        mats = _transitions_from_masks(problem.bounds, chunk)
+        runs = _descend_chunk(problem, chunk, mats, np.ones(chunk.shape[:2], dtype=bool), order)
+        blocks.append(runs._replace(event_rows=runs.event_rows + lo))
+    return _Runs(masks, *(np.concatenate(column) for column in list(zip(*blocks))[1:]))
 
 
 def multistart(

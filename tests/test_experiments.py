@@ -140,6 +140,25 @@ class TestSweepComparison:
             assert len(values) == 2 and values[0] == values[1]
             assert sum(float(r[5]) for r in rows if r[3] == sense) == pytest.approx(1.0)
 
+    def test_no_free_edges(self, tmp_path, monkeypatch):
+        # every interval a point: both orders of every start reach the one
+        # empty schedule, so each sense has one census row hit by every start
+        generate = experiments.generate_instance
+
+        def pinned(params):
+            bounds, q, f = generate(params)
+            return IntervalBounds(bounds.lower, bounds.lower, bounds.marginal), q, f
+
+        monkeypatch.setattr(experiments, "generate_instance", pinned)
+        config = small_config(cells=((4, 3),), instances=2, starts=9)
+        csv_path, summary_path = run_sweep_comparison(config, tmp_path)
+        rows = read_rows(csv_path)[1:]
+        assert [(r[2], r[3]) for r in rows] == [("0", "min"), ("0", "max"), ("1", "min"), ("1", "max")]
+        assert all(r[5:] == ["1.0", "1.0", "0.0"] for r in rows)
+        summary = json.loads(summary_path.read_text())
+        fractions = [item["disagreement_fraction"] for item in summary["instances"]]
+        assert fractions == [{"min": 0.0, "max": 0.0}] * 2
+
     def test_two_state_orders_agree_on_best(self, tmp_path, two_state):
         # only two basins: both orders must report the same best values
         from intervalwalk import OptimizationProblem, multistart

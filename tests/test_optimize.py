@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from intervalwalk import (
     EdgeSelection,
     GenParams,
     IntervalBounds,
+    LocalOptimum,
     OptimizationProblem,
     Sense,
     SweepOrder,
@@ -35,8 +37,14 @@ from intervalwalk import (
     weight_matrix_from_mask,
 )
 from intervalwalk import optimize
-from intervalwalk.graph import TOL, _extremal_masks, _gradient_upper_mask, _transitions_from_masks
-from intervalwalk.optimize import _candidate, _Descent, _descents, _local_optimum, _random_starts
+from intervalwalk.graph import (
+    TOL,
+    _extremal_masks,
+    _gradient_upper_mask,
+    _selections_from_masks,
+    _transitions_from_masks,
+)
+from intervalwalk.optimize import _candidate, _descents, _random_starts
 from intervalwalk.oracle import BudgetExceededError
 from intervalwalk.rng import substream
 
@@ -530,8 +538,43 @@ class TestMultistart:
 
         monkeypatch.setattr(EdgeSelection, "from_upper_mask", classmethod(counting))
         report = multistart(problem, 40, seed=2)
-        assert len(report.unique_extrema) < 10
-        assert len(calls) == len(report.unique_extrema) * problem.n
+        # the call builds `best`'s selections only, and the census values
+        # are read without building any; an entry builds on first read
+        assert len(calls) == problem.n
+        count = len(report.unique_extrema)
+        assert len(report.distinct_values()) > 1
+        assert 1 < count < 10 and len(calls) == problem.n
+        entries = tuple(report.unique_extrema)
+        assert len(calls) == count * problem.n
+        assert report.best.selections is entries[0][0]
+        tuple(report.unique_extrema)
+        assert len(calls) == count * problem.n
+
+    @pytest.mark.parametrize("read", ["none", "some", "all"])
+    def test_reports_compare_however_much_was_read(self, read):
+        bounds, q, f = generate_instance(GenParams(s=6, seed=9))
+        problem = OptimizationProblem(bounds, q, f, 3)
+        report, unread = multistart(problem, 50, seed=3), multistart(problem, 50, seed=3)
+        runs = _descents(problem, _random_starts(problem, 50, 3), SweepOrder.LEFT_TO_RIGHT)
+        keys = {}
+        for idx, masks in enumerate(runs.masks):
+            key = masks.tobytes()
+            keys.setdefault(key, [idx, 0])[1] += 1
+        ranked = sorted(keys.items(), key=lambda item: (runs.value[item[1][0]], item[0]))
+        eager = tuple(
+            (_selections_from_masks(bounds, runs.masks[idx]), float(runs.value[idx]), hits)
+            for _, (idx, hits) in ranked
+        )
+        assert len(eager) > 2
+        if read == "some":
+            report.unique_extrema[1]
+        elif read == "all":
+            tuple(report.unique_extrema)
+        assert report == unread and hash(report) == hash(unread)
+        assert report.unique_extrema == eager and hash(report.unique_extrema) == hash(eager)
+        assert tuple(report.unique_extrema) == eager
+        assert report.unique_extrema[-1] == eager[-1] and report.unique_extrema[1:] == eager[1:]
+        assert report != multistart(problem, 50, seed=4)
 
 
 class TestDescents:
@@ -584,12 +627,46 @@ class TestDescents:
         for sense in Sense:
             for order in SweepOrder:
                 problem = OptimizationProblem(bounds, q, f, 3, sense)
-                runs = list(_descents(problem, _random_starts(problem, 6, 17), order))
-                assert len(runs) == 6
-                for idx, run in enumerate(runs):
+                runs = _descents(problem, _random_starts(problem, 6, 17), order)
+                assert runs.masks.shape == (6, problem.n, len(bounds.free_edges))
+                for idx in range(6):
                     start = random_extremal_schedule(bounds, problem.n, substream(17, idx))
-                    assert run.masks.shape == (problem.n, len(bounds.free_edges))
-                    assert _local_optimum(bounds, run) == local_optimize(problem, start, order)
+                    assert reported(bounds, descent_row(runs, idx)) == local_optimize(problem, start, order)
+
+    @pytest.mark.parametrize("starts", [7, optimize._CHUNK + 1])
+    def test_descends_the_start_array_in_place(self, starts):
+        # a list of rows is copied; an array is consumed, its rows becoming
+        # the fixed points, so no second mask array is held
+        bounds, q, f = generate_instance(GenParams(s=5, seed=3))
+        problem = OptimizationProblem(bounds, q, f, 3)
+        table = _random_starts(problem, starts, 1)
+        from_rows = _descents(problem, list(table), SweepOrder.LEFT_TO_RIGHT)
+        assert not np.shares_memory(from_rows.masks, table)
+        runs = _descents(problem, table, SweepOrder.LEFT_TO_RIGHT)
+        assert runs.masks is table
+        np.testing.assert_array_equal(runs.masks, from_rows.masks)
+
+
+class Descent(NamedTuple):
+    """One start's descent as the per-start reference returns it."""
+
+    masks: np.ndarray
+    value: float
+    start_value: float
+    sweeps: int
+    improvements: int
+    trace: tuple[float, ...]
+
+
+def descent_row(runs, idx):
+    """Row idx of a `_Runs` block, in the reference's form."""
+    opt = runs.optimum(idx, None)
+    return Descent(runs.masks[idx], *[getattr(opt, name) for name in Descent._fields[1:]])
+
+
+def reported(bounds, run):
+    """The `LocalOptimum` a descent is reported as."""
+    return LocalOptimum(_selections_from_masks(bounds, run.masks), *run[1:])
 
 
 def reference_descend(problem, mats, masks, order):
@@ -645,7 +722,7 @@ def reference_descend(problem, mats, masks, order):
         if not changed:
             break
     trace = tuple(sign * v for v in trace)
-    return _Descent(np.array(masks), sign * fold_value(), trace[0], sweeps, len(trace) - 1, trace)
+    return Descent(np.array(masks), sign * fold_value(), trace[0], sweeps, len(trace) - 1, trace)
 
 
 def assert_same_descent(run, ref):
@@ -666,11 +743,12 @@ class TestLockstepKernel:
                 problem = OptimizationProblem(bounds, q, f, n, sense)
                 starts = list(_random_starts(problem, 12, seed))
                 for order in SweepOrder:
-                    runs = list(_descents(problem, starts, order))
-                    assert len(runs) == len(starts)
-                    for masks, run in zip(starts, runs):
+                    runs = _descents(problem, starts, order)
+                    assert len(runs.masks) == len(starts)
+                    for idx, masks in enumerate(starts):
                         mats = list(_transitions_from_masks(bounds, masks))
-                        assert_same_descent(run, reference_descend(problem, mats, list(masks), order))
+                        ref = reference_descend(problem, mats, list(masks), order)
+                        assert_same_descent(descent_row(runs, idx), ref)
 
     @pytest.mark.parametrize("order", list(SweepOrder))
     def test_interior_starts_match_the_per_start_reference(self, order):
@@ -684,7 +762,7 @@ class TestLockstepKernel:
             masks = [None if k % 2 == 0 else selection_of(bounds, w).upper_mask() for k, w in enumerate(start)]
             mats = [transition_matrix(bounds, w) for w in start]
             ref = reference_descend(problem, mats, masks, order)
-            assert local_optimize(problem, start, order) == _local_optimum(bounds, ref)
+            assert local_optimize(problem, start, order) == reported(bounds, ref)
 
     @pytest.mark.parametrize("starts", [1, 7, optimize._CHUNK + 1])
     def test_chunking_changes_nothing(self, monkeypatch, starts):
@@ -694,10 +772,12 @@ class TestLockstepKernel:
         outputs = []
         for chunk in (1, 3, optimize._CHUNK):
             monkeypatch.setattr(optimize, "_CHUNK", chunk)
-            # the array and the list of its rows are the same batch
-            for batch in (table, list(table)):
-                runs = list(_descents(problem, batch, SweepOrder.RIGHT_TO_LEFT))
-                outputs.append((runs, multistart(problem, starts, seed=4)))
+            # the array and the list of its rows are the same batch; the
+            # descent consumes an array, so it gets a copy
+            for batch in (table.copy(), list(table)):
+                runs = _descents(problem, batch, SweepOrder.RIGHT_TO_LEFT)
+                rows = [descent_row(runs, idx) for idx in range(len(runs.masks))]
+                outputs.append((rows, multistart(problem, starts, seed=4)))
         (first, report), *rest = outputs
         assert len(first) == starts
         for runs, other in rest:
@@ -760,9 +840,8 @@ class TestMultistartExhaustive:
         descents = optimize._descents
 
         def recording(problem, start_masks, order):
-            for masks in start_masks:
-                seen.append(masks.tolist())
-                yield from descents(problem, [masks], order)
+            seen.extend(masks.tolist() for masks in start_masks)
+            return descents(problem, start_masks, order)
 
         monkeypatch.setattr(optimize, "_descents", recording)
         multistart_exhaustive(OptimizationProblem(bounds, q, f, n))
@@ -780,6 +859,45 @@ class TestMultistartExhaustive:
             hi = multistart_exhaustive(OptimizationProblem(bounds, q, f, n, Sense.MAX))
             assert close(lo.best.value, res.minimum)
             assert close(hi.best.value, res.maximum)
+
+
+class TestNoFreeEdges:
+    """Every interval a point: each schedule is the one empty schedule, whose
+    masks have no bytes."""
+
+    @staticmethod
+    def problem(sense, n=3):
+        bounds, q, f = generate_instance(GenParams(s=5, seed=2))
+        pinned = IntervalBounds(bounds.lower, bounds.lower, bounds.marginal)
+        return OptimizationProblem(pinned, q, f, n, sense)
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    @pytest.mark.parametrize("starts", [1, 9, optimize._CHUNK + 3])
+    def test_multistart_has_one_entry_hit_by_every_start(self, sense, starts):
+        problem = self.problem(sense)
+        report = multistart(problem, starts, seed=1)
+        [(selections, value, hits)] = report.unique_extrema
+        assert hits == starts and report.distinct_values() == (value,)
+        assert selections == report.best.selections and len(selections) == problem.n
+        assert all(sel.edges == () for sel in selections)
+        assert report.best.value == value == report.best.start_value
+        assert report.best.improvements == 0 and report.best.trace == (value,)
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_exhaustive_has_one_start_and_one_entry(self, sense):
+        report = multistart_exhaustive(self.problem(sense))
+        assert report.starts == 1
+        [(_, value, hits)] = report.unique_extrema
+        assert hits == 1 and report.best.value == value
+
+    def test_census_of_two_streams(self):
+        problem = self.problem(Sense.MIN)
+        starts = _random_starts(problem, 7, 0)
+        lr = _descents(problem, starts.copy(), SweepOrder.LEFT_TO_RIGHT)
+        rl = _descents(problem, starts, SweepOrder.RIGHT_TO_LEFT)
+        first, values, hits = optimize._census(problem.sense, lr, rl)
+        assert first.tolist() == [0] and hits.tolist() == [[7, 7]]
+        assert values.tolist() == [lr.value[0]]
 
 
 class TestMaxIsMinOfNegated:
