@@ -25,9 +25,9 @@ from .experiments import (
     run_sweep_comparison,
 )
 from .generate import _REAL_FIELDS, GenerationError, GenParams, generate_instance
-from .graph import EdgeChoice, StateSpace, validate
+from .graph import StateSpace, validate
 from .instancefile import ProblemInstance, load_instance, save_instance, write_json
-from .optimize import MultistartReport, Sense, SweepOrder, multistart
+from .optimize import Sense, SweepOrder, multistart
 from .oracle import BudgetExceededError, exact_bounds
 
 
@@ -60,6 +60,8 @@ def _check_out(path: str, directory: bool) -> None:
         code = errno.EISDIR
     elif not os.access(existing, os.W_OK | os.X_OK):
         code = errno.EACCES
+    elif not directory and target.exists() and not os.access(target, os.W_OK):
+        code = errno.EACCES
     if code:
         raise OSError(code, os.strerror(code), path)
 
@@ -72,35 +74,35 @@ def cmd_validate(args) -> int:
 
 def _row_table(labels, free_edges):
     """One shared `(label_x, label_y, "lower"|"upper")` row per free edge and
-    choice, indexed by the EdgeChoice value (LOWER = 0, UPPER = 1), so the
-    JSON writer renders each row once however many schedules hold it."""
-    return [tuple((labels[x], labels[y], choice.name.lower()) for choice in EdgeChoice) for x, y in free_edges]
+    endpoint, indexed by the endpoint bit (False or LOWER = 0 is "lower"), so
+    the JSON writer renders each row once however many schedules hold it."""
+    return [((labels[x], labels[y], "lower"), (labels[x], labels[y], "upper")) for x, y in free_edges]
 
 
-def _schedule_json(table, selections):
-    return [list(map(tuple.__getitem__, table, sel.choices)) for sel in selections]
+def _schedule_json(table, rows):
+    """The record rows of one schedule, given as per-step endpoint bits: a
+    census mask's `.tolist()` rows or a selection's `choices`."""
+    return [list(map(tuple.__getitem__, table, bits)) for bits in rows]
 
 
-def _print_report(table, sense: Sense, report: MultistartReport) -> None:
-    kind = "lower" if sense is Sense.MIN else "upper"
-    print(f"{kind} bound: {report.best.value!r}")
-    word = "minima" if sense is Sense.MIN else "maxima"
-    values = ", ".join(
-        f"{value!r} (hits {hits})" for _, value, hits in report.unique_extrema
-    )
-    print(f"  unique local {word}: {len(report.unique_extrema)} [{values}]")
-    for step, edges in enumerate(_schedule_json(table, report.best.selections), start=1):
+def _print_report(table, sense: Sense, census) -> None:
+    kind, word = ("lower", "minima") if sense is Sense.MIN else ("upper", "maxima")
+    print(f"{kind} bound: {census.values[0]!r}")
+    values = ", ".join(f"{value!r} (hits {hits})" for value, hits in zip(census.values, census.hits))
+    print(f"  unique local {word}: {len(census)} [{values}]")
+    for step, edges in enumerate(_schedule_json(table, census.masks[0].tolist()), start=1):
         parts = ", ".join(f"{{{x},{y}}}={choice}" for x, y, choice in edges) or "(no free edges)"
         print(f"  step {step}: {parts}")
 
 
-def _report_json(table, report: MultistartReport) -> dict:
+def _report_json(table, census) -> dict:
+    schedules = [_schedule_json(table, rows) for rows in census.masks.tolist()]
     return {
-        "value": report.best.value,
-        "schedule": _schedule_json(table, report.best.selections),
+        "value": census.values[0],
+        "schedule": schedules[0],
         "unique_extrema": [
-            {"value": value, "hits": hits, "schedule": _schedule_json(table, sels)}
-            for sels, value, hits in report.unique_extrema
+            {"value": value, "hits": hits, "schedule": rows}
+            for rows, value, hits in zip(schedules, census.values, census.hits)
         ],
     }
 
@@ -121,20 +123,14 @@ def cmd_bounds(args) -> int:
     order = SweepOrder(args.strategy)
     senses = (Sense.MIN, Sense.MAX) if args.sense == "both" else (Sense(args.sense),)
     table = _row_table(instance.states.labels, instance.bounds.free_edges)
-    results = {}
+    censuses = {}
     for sense in senses:
-        rep = multistart(instance.problem(sense), args.starts, args.seed, order)
-        _print_report(table, sense, rep)
-        results[sense.value] = _report_json(table, rep)
+        censuses[sense.value] = multistart(instance.problem(sense), args.starts, args.seed, order).unique_extrema
+        _print_report(table, sense, censuses[sense.value])
     if args.out:
-        payload = {
-            "starts": args.starts,
-            "seed": args.seed,
-            "strategy": order.value,
-            "steps": instance.steps,
-            "results": results,
-        }
-        write_json(args.out, payload)
+        results = {sense: _report_json(table, census) for sense, census in censuses.items()}
+        record = dict(starts=args.starts, seed=args.seed, strategy=order.value, steps=instance.steps, results=results)
+        write_json(args.out, record)
         print(f"wrote {args.out}")
     return 0
 
@@ -155,8 +151,8 @@ def cmd_oracle(args) -> int:
             "steps": instance.steps,
             "minimum": result.minimum,
             "maximum": result.maximum,
-            "argmin": [_schedule_json(table, sched) for sched in result.argmin],
-            "argmax": [_schedule_json(table, sched) for sched in result.argmax],
+            "argmin": [_schedule_json(table, [sel.choices for sel in sched]) for sched in result.argmin],
+            "argmax": [_schedule_json(table, [sel.choices for sel in sched]) for sched in result.argmax],
         }
         write_json(args.out, payload)
         print(f"wrote {args.out}")

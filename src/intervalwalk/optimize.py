@@ -142,27 +142,28 @@ class _Runs(NamedTuple):
 
 class _Extrema(Sequence):
     """A census as a read-only sequence of (selections, value, hits)
-    entries, best first.  It holds the entries' (U, n, e) masks, and builds
-    an entry's selections on first read and keeps them; it compares and
-    hashes like the tuple of its entries."""
+    entries, best first.  It holds the entries' (U, n, e) `masks`, `values`
+    and `hits` as plain attributes, builds an entry's selections on first
+    read and keeps them, and compares and hashes like the tuple of its
+    entries."""
 
     def __init__(self, bounds: IntervalBounds, masks: np.ndarray, values: list[float], hits: list[int]):
         self._bounds = bounds
-        self._masks = masks
+        self.masks = masks
         self._selections: list = [None] * len(masks)
         self.values = values
-        self._hits = hits
+        self.hits = hits
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return len(self.masks)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(len(self))[i])
         sels = self._selections[i]
         if sels is None:
-            sels = self._selections[i] = _selections_from_masks(self._bounds, self._masks[i])
-        return sels, self.values[i], self._hits[i]
+            sels = self._selections[i] = _selections_from_masks(self._bounds, self.masks[i])
+        return sels, self.values[i], self.hits[i]
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _Extrema)):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from intervalwalk import (
+    EdgeSelection,
     GenParams,
     ProblemInstance,
     StateSpace,
@@ -116,6 +117,38 @@ class TestBoundsCommand:
         # schedules name the states by label
         step = record["results"]["min"]["schedule"][0]
         assert step == [["1", "2", "upper"]]
+
+    def test_record_builds_only_the_best_selections(self, tmp_path, capsys, monkeypatch):
+        inst, out = tmp_path / "inst.json", tmp_path / "record.json"
+        assert main(["gen", "--vertices", "5", "--steps", "3", "--seed", "7", "--out", str(inst)]) == 0
+        build = EdgeSelection.from_upper_mask.__func__
+        calls = []
+
+        def counting(cls, bounds, mask):
+            calls.append(mask)
+            return build(cls, bounds, mask)
+
+        monkeypatch.setattr(EdgeSelection, "from_upper_mask", classmethod(counting))
+        assert main(["bounds", str(inst), "--starts", "40", "--sense", "both", "--out", str(out)]) == 0
+        results = json.loads(out.read_text(encoding="utf-8"))["results"]
+        assert all(len(results[sense]["unique_extrema"]) > 1 for sense in ("min", "max"))
+        # each sense's multistart builds `best`'s 3 selections; the record
+        # and the printout render every census entry from its masks
+        assert len(calls) == 2 * 3
+
+    def test_no_record_without_out(self, example_file, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "record.json"
+        argv = ["bounds", str(example_file), "--starts", "32", "--seed", "3"]
+        assert main([*argv, "--out", str(out)]) == 0
+        with_out = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("a record was built without --out")
+
+        monkeypatch.setattr(cli, "_report_json", refuse)
+        monkeypatch.setattr(cli, "write_json", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out + f"wrote {out}\n" == with_out
 
     def test_deterministic_record(self, example_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -536,6 +569,18 @@ class TestOutCheckedFirst:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: cannot write {out}: Permission denied" in captured.err
+
+    def test_bounds_read_only_record_file(self, example_file, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "x.json"
+        out.write_text("old", encoding="utf-8")
+        # root writes anywhere, so only the record file itself is refused here
+        access = cli.os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != out and access(path, mode))
+        assert main(["bounds", str(example_file), "--starts", "4", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {out}: Permission denied" in captured.err
+        assert out.read_text(encoding="utf-8") == "old"
 
     def test_experiment_runs_no_multistart(self, tmp_path, capsys, monkeypatch):
         calls = []

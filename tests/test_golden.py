@@ -8,6 +8,7 @@ change a digest only together with a documented change of the output format.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -35,6 +36,20 @@ def test_oracle_record(tmp_path):
     assert main(["gen", "--vertices", "4", "--steps", "2", "--seed", "7", "--out", str(path)]) == 0
     assert main(["oracle", str(path), "--out", str(out)]) == 0
     assert sha256(out) == "bd84de1789648de7ed0961ee46aed9b3229c720d20f3227a6f027080e11ae3dd"
+
+
+def test_oracle_record_with_tied_optima(tmp_path):
+    path, out = tmp_path / "tied.json", tmp_path / "oracle.json"
+    assert main(["gen", "--vertices", "3", "--steps", "2", "--seed", "1", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    # states 0 and 1 share a payoff, so the last step's choice on edge {0,1}
+    # moves none of it: every optimum comes with its twin
+    doc["f"][1] = doc["f"][0]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["oracle", str(path), "--out", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert len(record["argmin"]) == len(record["argmax"]) == 2
+    assert sha256(out) == "7c7bbdd7ddc85112ac9a16c108aa2ed542596c5dd57162bb38b61ba718890ffe"
 
 
 BOUNDS_DIGESTS = {
