@@ -74,14 +74,14 @@ def cmd_validate(args) -> int:
 
 def _row_table(labels, free_edges):
     """One shared `(label_x, label_y, "lower"|"upper")` row per free edge and
-    endpoint, indexed by the endpoint bit (False or LOWER = 0 is "lower"), so
+    endpoint, indexed by the endpoint bit (False is "lower"), so
     the JSON writer renders each row once however many schedules hold it."""
     return [((labels[x], labels[y], "lower"), (labels[x], labels[y], "upper")) for x, y in free_edges]
 
 
 def _schedule_json(table, rows):
-    """The record rows of one schedule, given as per-step endpoint bits: a
-    census mask's `.tolist()` rows or a selection's `choices`."""
+    """The record rows of one schedule, given as per-step endpoint bits: the
+    `.tolist()` rows of its (n, e) masks."""
     return [list(map(tuple.__getitem__, table, bits)) for bits in rows]
 
 
@@ -151,8 +151,8 @@ def cmd_oracle(args) -> int:
             "steps": instance.steps,
             "minimum": result.minimum,
             "maximum": result.maximum,
-            "argmin": [_schedule_json(table, [sel.choices for sel in sched]) for sched in result.argmin],
-            "argmax": [_schedule_json(table, [sel.choices for sel in sched]) for sched in result.argmax],
+            "argmin": [_schedule_json(table, rows.tolist()) for rows in result.argmin.masks],
+            "argmax": [_schedule_json(table, rows.tolist()) for rows in result.argmax.masks],
         }
         write_json(args.out, payload)
         print(f"wrote {args.out}")

@@ -25,7 +25,7 @@ from .generate import _REAL_FIELDS, GenParams, generate_instance
 from .graph import _check_integers, _is_integer
 from .instancefile import read_json, write_json
 from .optimize import OptimizationProblem, Sense, SweepOrder, multistart
-from .optimize import _census, _descents, _random_starts
+from .optimize import _census, _descents, _joint_descents, _random_starts
 from .rng import derive_seed, substream
 
 # experiment ids and stream roles for substream addressing
@@ -227,15 +227,19 @@ def run_extrema_count(config: ExperimentConfig, out_dir, threads: int = 1) -> tu
 
 def _sweep_task(args):
     """The CSV rows and summary entry of one instance: both orders descend
-    from the same starts, and one census counts where each lands."""
+    from the same starts, and one census per sense counts where each lands.
+    The two senses descend together, one lockstep run per order."""
     config, ci, inst = args
     vertices, steps = config.cells[ci]
+    pairs = _problems(config, _EXP_SWEEP, ci, inst, Sense)
+    problems = [problem for problem, _ in pairs]
+    starts = [_random_starts(problem, config.starts, seed) for problem, seed in pairs]
+    # two start arrays are concatenated, not consumed, so both orders descend the same starts
+    lrs = _joint_descents(problems, starts, SweepOrder.LEFT_TO_RIGHT)
+    rls = _joint_descents(problems, starts, SweepOrder.RIGHT_TO_LEFT)
     rows = []
     fractions = {}
-    for problem, seed in _problems(config, _EXP_SWEEP, ci, inst, Sense):
-        starts = _random_starts(problem, config.starts, seed)
-        lr = _descents(problem, starts.copy(), SweepOrder.LEFT_TO_RIGHT)
-        rl = _descents(problem, starts, SweepOrder.RIGHT_TO_LEFT)
+    for problem, lr, rl in zip(problems, lrs, rls):
         disagreements = int(np.count_nonzero((lr.masks != rl.masks).any(axis=(1, 2))))
         fraction = fractions[problem.sense.value] = disagreements / config.starts
         _, values, hits = _census(problem.sense, lr, rl)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 import numbers
-from collections.abc import Iterable
+from abc import abstractmethod
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -470,16 +471,18 @@ def validate(bounds: IntervalBounds) -> ValidationReport:
     return ValidationReport(tuple(violations), tuple(warnings))
 
 
-def _extremal_masks(e: int) -> np.ndarray:
-    """Every endpoint mask over e free edges, as a (2^e, e) boolean table.
+def _extremal_masks(e: int, rows=None) -> np.ndarray:
+    """Every endpoint mask over e free edges, as a (2^e, e) boolean table, or
+    the table's integer `rows`, an (...) array, as an (..., e) stack.
 
     Row k is the binary expansion of k with the first edge most significant,
     so the rows run in lexicographic selection order (LOWER before UPPER).
     Enumeration, exhaustive multistart and the oracle's schedule indices all
     use this order.
     """
-    shifts = np.arange(e - 1, -1, -1)
-    return ((np.arange(1 << e)[:, None] >> shifts) & 1).astype(bool)
+    rows = np.arange(1 << e) if rows is None else np.asarray(rows)
+    shifts = np.arange(e - 1, -1, -1, dtype=rows.dtype)
+    return ((rows[..., None] >> shifts) & 1).astype(bool)
 
 
 def _weights_from_masks(bounds: IntervalBounds, masks: np.ndarray) -> np.ndarray:
@@ -516,6 +519,32 @@ def _selections_from_masks(bounds: IntervalBounds, masks: np.ndarray) -> tuple[E
     """The per-step selections of an (n, e) endpoint mask array; the engine
     works on masks and builds selections only for what it reports."""
     return tuple(EdgeSelection.from_upper_mask(bounds, m) for m in masks)
+
+
+class _LazyTuple(Sequence):
+    """A read-only sequence whose entries are built when read, by `_entry(i)`
+    for i in range, that compares and hashes like the tuple of its entries:
+    the engine keeps results as arrays and builds reported objects on read."""
+
+    @abstractmethod
+    def _entry(self, i):
+        """Entry i, for i in range(len(self))."""
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        return self._entry(range(len(self))[i])
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _LazyTuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 def weight_matrix_from_mask(bounds: IntervalBounds, upper_mask) -> np.ndarray:

@@ -14,8 +14,10 @@ time by one gradient call per step), and `multistart_exhaustive` passes its
 table of every schedule.  `_descents` slices such an array `_CHUNK` rows at
 a time, and one kernel, `_descend_chunk`, runs every descent: it sweeps a
 chunk in lockstep through stacked products, and `local_optimize` is a chunk
-of one.  Each start's draws and arithmetic are bit for bit those of a start
-on its own, so no result depends on how the starts are batched.
+of one.  Each row reads its own sign, so `_joint_descents` descends the
+starts of both senses of one problem in one run.  Each start's draws and
+arithmetic are bit for bit those of a start on its own, so no result
+depends on how the starts are batched.
 
 Results stay arrays until they are reported: the kernel returns one `_Runs`
 block per chunk, with a row per start and the accepted values as (row, value)
@@ -40,6 +42,7 @@ from .graph import (
     EdgeSelection,
     IntervalBounds,
     WeightFunction,
+    _LazyTuple,
     _check_integers,
     _check_seed,
     _checked_vectors,
@@ -121,7 +124,7 @@ class _Runs(NamedTuple):
     """Descents as the engine keeps them, one row per start: (S, n, e)
     endpoint masks, final and start values, sweeps and accepted improvements,
     and every accepted value as a (row, value) event, in the order accepted.
-    Values are in the problem's own sense."""
+    Values are in each row's own sense."""
 
     masks: np.ndarray
     value: np.ndarray
@@ -130,6 +133,15 @@ class _Runs(NamedTuple):
     improvements: np.ndarray
     event_rows: np.ndarray
     event_values: np.ndarray
+
+    def rows(self, lo: int, hi: int) -> "_Runs":
+        """Rows lo to hi as a block of their own, their events renumbered
+        from 0; the whole block is itself."""
+        if (lo, hi) == (0, len(self.masks)):
+            return self
+        mine = (self.event_rows >= lo) & (self.event_rows < hi)
+        per_row = (column[lo:hi] for column in self[:5])
+        return _Runs(*per_row, self.event_rows[mine] - lo, self.event_values[mine])
 
     def optimum(self, i, selections) -> LocalOptimum:
         """The reported form of row i, with its masks given as `selections`;
@@ -140,12 +152,11 @@ class _Runs(NamedTuple):
         )
 
 
-class _Extrema(Sequence):
+class _Extrema(_LazyTuple):
     """A census as a read-only sequence of (selections, value, hits)
     entries, best first.  It holds the entries' (U, n, e) `masks`, `values`
-    and `hits` as plain attributes, builds an entry's selections on first
-    read and keeps them, and compares and hashes like the tuple of its
-    entries."""
+    and `hits` as plain attributes, and builds an entry's selections on
+    first read and keeps them."""
 
     def __init__(self, bounds: IntervalBounds, masks: np.ndarray, values: list[float], hits: list[int]):
         self._bounds = bounds
@@ -157,24 +168,11 @@ class _Extrema(Sequence):
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
+    def _entry(self, i):
         sels = self._selections[i]
         if sels is None:
             sels = self._selections[i] = _selections_from_masks(self._bounds, self.masks[i])
         return sels, self.values[i], self.hits[i]
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _Extrema)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return repr(tuple(self))
 
 
 #: Absolute gap below which two extremum values count as one distinct value.
@@ -261,15 +259,17 @@ def _candidate(bounds, ql, fr):
 _CHUNK = 256
 
 
-def _descend_chunk(problem, masks, mats, pinned, order) -> _Runs:
+def _descend_chunk(problem, masks, mats, pinned, sign, order) -> _Runs:
     """Sweep single-step replacements on a chunk of starts in lockstep, until
     each start has made a full pass that changes nothing; one `_Runs` block
     for the chunk, a row per start, in chunk order.
 
     Takes (B, n, e) endpoint masks, the (B, n, s, s) transition matrices of
     the start schedules and a (B, n) flag per step, False for a step not yet
-    pinned to its mask (an interior start step), and consumes all three.
-    Each start minimizes <q, P_1 ... P_n sign·f> and accepts a replacement
+    pinned to its mask (an interior start step), and consumes all three; and
+    a (B,) sign per row, 1.0 for MIN and -1.0 for MAX, so a chunk may mix the
+    senses of one (bounds, q, f, n).  Each start minimizes
+    <q, P_1 ... P_n sign·f> with its own sign and accepts a replacement
     only when it gains more than TOL·max(1, |value|); a step not yet pinned
     takes its candidate on first visit, better or not: the objective is
     linear in one step's weights, so in exact arithmetic the endpoint
@@ -279,19 +279,19 @@ def _descend_chunk(problem, masks, mats, pinned, order) -> _Runs:
     toward is extended after each step, so neither is stale when read.  A
     start leaves the active set after a sweep with no change.  Every product
     is a stacked np.matmul or np.vecdot, bit for bit the per-start `@`, so a
-    start's result does not depend on the chunk it runs in.  Results are in
-    the problem's own sense.  The block's masks are the given `masks` array,
-    each row overwritten by its fixed point when its start leaves.
+    start's result does not depend on the chunk it runs in; multiplying by
+    a sign of ±1 is exact, so neither does it depend on the senses of the
+    other rows.  Results are in each row's own sense.  The block's masks are
+    the given `masks` array, each row overwritten by its fixed point when its
+    start leaves.
     """
     bounds = problem.bounds
     q = problem.q
-    sign = problem.sense.sign
-    f = sign * problem.f
     count, n = pinned.shape
     prefix = np.empty((count, n + 1, bounds.size))
     suffix = np.empty_like(prefix)
     prefix[:, 0] = q
-    suffix[:, n] = f
+    suffix[:, n] = sign[:, None] * problem.f
 
     def push(k):
         prefix[:, k + 1] = np.matmul(prefix[:, k, None], mats[:, k])[:, 0]
@@ -338,7 +338,7 @@ def _descend_chunk(problem, masks, mats, pinned, order) -> _Runs:
         # first rows leave, `masks` is `out_masks` itself
         left = active[done]
         out_masks[left] = masks[done]
-        out_value[left] = sign * np.vecdot(q, suffix[done, 0])
+        out_value[left] = sign[left] * np.vecdot(q, suffix[done, 0])
         out_sweeps[left] = sweeps
         if left.size:
             # the transition stack, the one large array, is compacted in
@@ -354,7 +354,7 @@ def _descend_chunk(problem, masks, mats, pinned, order) -> _Runs:
             )
     event_rows = np.concatenate(event_rows)
     improvements = np.bincount(event_rows, minlength=count)
-    event_values = sign * np.concatenate(event_values)
+    event_values = sign[event_rows] * np.concatenate(event_values)
     return _Runs(out_masks, out_value, start_value, out_sweeps, improvements, event_rows, event_values)
 
 
@@ -381,7 +381,8 @@ def local_optimize(
     # so its mask is never read
     masks, pinned = _upper_masks(problem.bounds, weights)
     weights /= problem.bounds.marginal[:, None]
-    runs = _descend_chunk(problem, masks[None], weights[None], pinned[None], order)
+    sign = np.array([problem.sense.sign])
+    runs = _descend_chunk(problem, masks[None], weights[None], pinned[None], sign, order)
     return runs.optimum(0, _selections_from_masks(problem.bounds, runs.masks[0]))
 
 
@@ -484,20 +485,38 @@ def _random_starts(problem, starts, seed) -> np.ndarray:
 
 
 def _descents(problem, starts, order) -> _Runs:
-    """The descents from every row of `starts`, an (S, n, e) endpoint mask
-    array or a list of (n, e) rows, as one `_Runs` in start order, descended
-    `_CHUNK` rows at a time.  Like the kernel it consumes a mask array: the
-    result's masks are that array, each row overwritten by its fixed point,
-    so no second (S, n, e) array is held; descending the same starts twice
-    takes a copy."""
-    masks = np.asarray(starts, dtype=bool)
+    """The descents of one problem from every row of `starts`, an (S, n, e)
+    endpoint mask array or a list of (n, e) rows, as one `_Runs` in start
+    order, descended `_CHUNK` rows at a time.  Like the kernel it consumes
+    a mask array: the result's masks are that array, each row overwritten by
+    its fixed point, so no second (S, n, e) array is held; descending the
+    same starts twice takes a copy."""
+    [runs] = _joint_descents([problem], [starts], order)
+    return runs
+
+
+def _joint_descents(problems, starts, order) -> list[_Runs]:
+    """The descents from `starts`, one start array per problem, as one
+    lockstep run, for problems that differ only in sense: the kernel reads
+    each row's sign, so a chunk may mix senses and every row gets the bits
+    of a run of its own sense.  One `_Runs` per problem, its rows sliced
+    back and its events split off by row range.  A single start array is
+    consumed as `_descents` consumes it; several are concatenated into one
+    array and left as they were."""
+    masks = [np.asarray(rows, dtype=bool) for rows in starts]
+    table = masks[0] if len(masks) == 1 else np.concatenate(masks)
+    ends = np.cumsum([0, *map(len, masks)])
+    sign = np.repeat([problem.sense.sign for problem in problems], np.diff(ends))
+    bounds = problems[0].bounds
     blocks = []
-    for lo in range(0, len(masks), _CHUNK):
-        chunk = masks[lo : lo + _CHUNK]
-        mats = _transitions_from_masks(problem.bounds, chunk)
-        runs = _descend_chunk(problem, chunk, mats, np.ones(chunk.shape[:2], dtype=bool), order)
+    for lo in range(0, len(table), _CHUNK):
+        chunk = table[lo : lo + _CHUNK]
+        mats = _transitions_from_masks(bounds, chunk)
+        pinned = np.ones(chunk.shape[:2], dtype=bool)
+        runs = _descend_chunk(problems[0], chunk, mats, pinned, sign[lo : lo + _CHUNK], order)
         blocks.append(runs._replace(event_rows=runs.event_rows + lo))
-    return _Runs(masks, *(np.concatenate(column) for column in list(zip(*blocks))[1:]))
+    runs = _Runs(table, *(np.concatenate(column) for column in list(zip(*blocks))[1:]))
+    return [runs.rows(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
 def multistart(

@@ -9,6 +9,7 @@ work exceeds its budget.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +18,7 @@ from .graph import (
     EdgeSelection,
     IntervalBounds,
     WeightFunction,
+    _LazyTuple,
     _checked_vectors,
     _check_integers,
     _extremal_masks,
@@ -37,11 +39,33 @@ class BudgetExceededError(RuntimeError):
     enumeration would exceed its budget."""
 
 
+class _Schedules(_LazyTuple):
+    """Optimal schedules as a sequence of selection schedules, each held as
+    its n rows of the one-step table ``graph._extremal_masks(e)`` in a (k, n)
+    integer array; `masks` is every schedule's (n, e) masks as one (k, n, e)
+    array."""
+
+    def __init__(self, bounds: IntervalBounds, digits: np.ndarray):
+        self._bounds = bounds
+        self._digits = digits
+
+    @property
+    def masks(self) -> np.ndarray:
+        return _extremal_masks(len(self._bounds.free_edges), self._digits)
+
+    def __len__(self) -> int:
+        return len(self._digits)
+
+    def _entry(self, i):
+        masks = _extremal_masks(len(self._bounds.free_edges), self._digits[i])
+        return _selections_from_masks(self._bounds, masks)
+
+
 class ExactBounds(NamedTuple):
     minimum: float
     maximum: float
-    argmin: tuple[tuple[EdgeSelection, ...], ...]
-    argmax: tuple[tuple[EdgeSelection, ...], ...]
+    argmin: Sequence[tuple[EdgeSelection, ...]]
+    argmax: Sequence[tuple[EdgeSelection, ...]]
 
 
 def _check_cap(e: int) -> None:
@@ -99,7 +123,9 @@ def exact_bounds(
     One depth-first pass keeps each leaf block (the 2^e last steps of one
     prefix) that can hold an optimum of either sense, and both answers are
     read from those blocks.  Optimal schedules are listed in lexicographic
-    order, step by step, of the selection order of ``graph._extremal_masks``.
+    order, step by step, of the selection order of ``graph._extremal_masks``,
+    as read-only sequences that build a schedule's selections when it is
+    read, so counting ties builds none.
 
     Raises ValueError on an `n` that is not a nonnegative integer, a `budget`
     that is not an integer of at least 1, or a q or f that is not a finite
@@ -125,7 +151,8 @@ def exact_bounds(
     )
     if n == 0:
         value = float(q @ f)
-        return ExactBounds(value, value, ((),), ((),))
+        empty = _Schedules(bounds, np.zeros((1, 0), dtype=np.int32))
+        return ExactBounds(value, value, empty, empty)
 
     table = _extremal_masks(e)
     stack = _transitions_from_masks(bounds, table)
@@ -147,12 +174,19 @@ def exact_bounds(
         if near(low, high):
             kept.append((index, values))
 
-    def schedules(hit) -> tuple[tuple[EdgeSelection, ...], ...]:
-        flat = [index * m + int(k) for index, values in kept for k in np.flatnonzero(hit(values))]
-        # each schedule's n base-m digits, first step most significant, read
-        # in Python integers: numpy caps an index tuple at 64 dimensions
-        powers = [m**p for p in reversed(range(n))]
-        return tuple(_selections_from_masks(bounds, table[[i // p % m for p in powers]]) for i in flat)
+    # each kept prefix's n - 1 base-m digits, first step most significant,
+    # read in Python integers, as a prefix index can pass 64 bits; a digit
+    # is below m <= 2^EXTREMAL_CAP, so it fits 32 bits
+    powers = [m**p for p in reversed(range(n - 1))]
+    prefixes = np.array([[index // p % m for p in powers] for index, _ in kept], dtype=np.int32)
+
+    def schedules(hit) -> _Schedules:
+        # row-major, so in ascending prefix and then leaf index
+        block, leaf = np.nonzero([hit(values) for _, values in kept])
+        digits = np.empty((len(block), n), dtype=np.int32)
+        digits[:, :-1] = prefixes[block]
+        digits[:, -1] = leaf
+        return _Schedules(bounds, digits)
 
     return ExactBounds(
         lo,

@@ -124,6 +124,13 @@ class TestSweepComparison:
             for fraction in item["disagreement_fraction"].values():
                 assert 0.0 <= fraction <= 1.0
 
+    def test_thread_independence(self, tmp_path):
+        config = small_config()
+        p1, s1 = run_sweep_comparison(config, tmp_path / "a")
+        p2, s2 = run_sweep_comparison(config, tmp_path / "b", threads=2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert s1.read_bytes() == s2.read_bytes()
+
     def test_tied_extrema_are_ordered_by_selection(self, tmp_path, monkeypatch):
         # on this triangle two distinct one-step extrema share a value bit for bit
         lower = np.full((3, 3), 0.2)
@@ -226,6 +233,13 @@ class TestInitialVsOptimized:
         csv_path, _ = run_initial_vs_optimized(config, tmp_path)
         for r in read_rows(csv_path)[1:]:
             assert float(r[5]) >= float(r[4]) - 1e-12
+
+    def test_thread_independence(self, tmp_path):
+        config = small_config(sense=Sense.MAX)
+        p1, s1 = run_initial_vs_optimized(config, tmp_path / "a")
+        p2, s2 = run_initial_vs_optimized(config, tmp_path / "b", threads=2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert s1.read_bytes() == s2.read_bytes()
 
 
 class TestDeviationCurves:

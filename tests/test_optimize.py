@@ -44,7 +44,7 @@ from intervalwalk.graph import (
     _selections_from_masks,
     _transitions_from_masks,
 )
-from intervalwalk.optimize import _candidate, _descents, _random_starts
+from intervalwalk.optimize import _candidate, _descents, _joint_descents, _random_starts
 from intervalwalk.oracle import BudgetExceededError
 from intervalwalk.rng import substream
 
@@ -784,6 +784,25 @@ class TestLockstepKernel:
             for run, ref in zip(runs, first, strict=True):
                 assert_same_descent(run, ref)
             assert other == report
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, optimize._CHUNK])
+    def test_mixed_sense_chunks_are_bit_identical(self, monkeypatch, chunk):
+        # 11 starts per sense: below the default chunk size both senses
+        # share one chunk, and at 3 and 7 a chunk boundary falls inside the
+        # rows of each sense
+        monkeypatch.setattr(optimize, "_CHUNK", chunk)
+        bounds, q, f = generate_instance(GenParams(s=5, seed=9))
+        problems = [OptimizationProblem(bounds, q, f, 3, sense) for sense in Sense]
+        starts = [_random_starts(problem, 11, seed) for seed, problem in enumerate(problems)]
+        for order in SweepOrder:
+            joint = _joint_descents(problems, starts, order)
+            for seed, (problem, table, runs) in enumerate(zip(problems, starts, joint, strict=True)):
+                # two start arrays are concatenated, so neither is consumed
+                np.testing.assert_array_equal(table, _random_starts(problem, 11, seed))
+                alone = _descents(problem, table.copy(), order)
+                assert len(runs.masks) == len(table)
+                for idx in range(len(table)):
+                    assert_same_descent(descent_row(runs, idx), descent_row(alone, idx))
 
     def test_exhaustive_over_several_chunks(self, monkeypatch):
         # 3 free edges over 3 steps: 512 starts, two default chunks

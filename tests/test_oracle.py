@@ -209,6 +209,23 @@ class TestExactBounds:
         for schedules in (res.argmin, res.argmax):
             assert [[sel.upper_mask().tolist() for sel in sched] for sched in schedules] == expected
 
+    def test_counting_ties_builds_no_selection(self, monkeypatch):
+        # a constant payoff ties all (2^3)^6 = 2^18 schedules: counting them
+        # builds no selection, and reading one builds that one's n = 6
+        build = EdgeSelection.from_upper_mask.__func__
+        calls = []
+
+        def counting(cls, bounds, mask):
+            calls.append(mask)
+            return build(cls, bounds, mask)
+
+        monkeypatch.setattr(EdgeSelection, "from_upper_mask", classmethod(counting))
+        res = exact_bounds(triangle_bounds(), [0.2, 0.3, 0.5], [0.7, 0.7, 0.7], 6)
+        assert len(res.argmin) == len(res.argmax) == 2**18
+        assert calls == []
+        assert [sel.upper_mask().tolist() for sel in res.argmax[-1]] == [[True] * 3] * 6
+        assert len(calls) == 6
+
     def test_one_step_agreement_with_minimizer(self):
         # the closed-form one-step minimizer against brute enumeration
         for seed in range(20):
