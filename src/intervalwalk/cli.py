@@ -27,7 +27,7 @@ from .experiments import (
 from .generate import _REAL_FIELDS, GenerationError, GenParams, generate_instance
 from .graph import StateSpace, validate
 from .instancefile import ProblemInstance, load_instance, save_instance, write_json
-from .optimize import Sense, SweepOrder, multistart
+from .optimize import Sense, SweepOrder, _joint_multistart, _mask_keys
 from .oracle import BudgetExceededError, exact_bounds
 
 
@@ -79,10 +79,14 @@ def _row_table(labels, free_edges):
     return [((labels[x], labels[y], "lower"), (labels[x], labels[y], "upper")) for x, y in free_edges]
 
 
-def _schedule_json(table, rows):
-    """The record rows of one schedule, given as per-step endpoint bits: the
-    `.tolist()` rows of its (n, e) masks."""
-    return [list(map(tuple.__getitem__, table, bits)) for bits in rows]
+def _schedules_json(table, masks):
+    """The record rows of the schedules in `masks`, a (k, n, e) endpoint mask
+    array; each distinct step row is built once, and its list shared."""
+    count, n, e = masks.shape
+    steps = masks.reshape(count * n, e)
+    _, first, inverse = np.unique(_mask_keys(steps), return_index=True, return_inverse=True)
+    rows = [list(map(tuple.__getitem__, table, bits)) for bits in steps[first].tolist()]
+    return [list(map(rows.__getitem__, schedule)) for schedule in inverse.reshape(count, n).tolist()]
 
 
 def _print_report(table, sense: Sense, census) -> None:
@@ -90,13 +94,13 @@ def _print_report(table, sense: Sense, census) -> None:
     print(f"{kind} bound: {census.values[0]!r}")
     values = ", ".join(f"{value!r} (hits {hits})" for value, hits in zip(census.values, census.hits))
     print(f"  unique local {word}: {len(census)} [{values}]")
-    for step, edges in enumerate(_schedule_json(table, census.masks[0].tolist()), start=1):
+    for step, edges in enumerate(_schedules_json(table, census.masks[:1])[0], start=1):
         parts = ", ".join(f"{{{x},{y}}}={choice}" for x, y, choice in edges) or "(no free edges)"
         print(f"  step {step}: {parts}")
 
 
 def _report_json(table, census) -> dict:
-    schedules = [_schedule_json(table, rows) for rows in census.masks.tolist()]
+    schedules = _schedules_json(table, census.masks)
     return {
         "value": census.values[0],
         "schedule": schedules[0],
@@ -123,12 +127,11 @@ def cmd_bounds(args) -> int:
     order = SweepOrder(args.strategy)
     senses = (Sense.MIN, Sense.MAX) if args.sense == "both" else (Sense(args.sense),)
     table = _row_table(instance.states.labels, instance.bounds.free_edges)
-    censuses = {}
-    for sense in senses:
-        censuses[sense.value] = multistart(instance.problem(sense), args.starts, args.seed, order).unique_extrema
-        _print_report(table, sense, censuses[sense.value])
+    reports = _joint_multistart([instance.problem(sense) for sense in senses], args.starts, args.seed, order)
+    for sense, report in zip(senses, reports):
+        _print_report(table, sense, report.unique_extrema)
     if args.out:
-        results = {sense: _report_json(table, census) for sense, census in censuses.items()}
+        results = {sense.value: _report_json(table, report.unique_extrema) for sense, report in zip(senses, reports)}
         record = dict(starts=args.starts, seed=args.seed, strategy=order.value, steps=instance.steps, results=results)
         write_json(args.out, record)
         print(f"wrote {args.out}")
@@ -151,8 +154,8 @@ def cmd_oracle(args) -> int:
             "steps": instance.steps,
             "minimum": result.minimum,
             "maximum": result.maximum,
-            "argmin": [_schedule_json(table, rows.tolist()) for rows in result.argmin.masks],
-            "argmax": [_schedule_json(table, rows.tolist()) for rows in result.argmax.masks],
+            "argmin": _schedules_json(table, result.argmin.masks),
+            "argmax": _schedules_json(table, result.argmax.masks),
         }
         write_json(args.out, payload)
         print(f"wrote {args.out}")

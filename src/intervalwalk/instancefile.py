@@ -135,21 +135,21 @@ def write_json(path, payload) -> None:
     `json` cannot encode raises TypeError.
 
     The document is streamed to the file, never held in memory as one string.
-    A list of scalars and tuples goes out as one string.  Each tuple (a
-    schedule row, shared by many schedules) is rendered once per depth.  The
-    memo is keyed by identity, because equal rows such as (1,), (1.0,) and
-    (True,) render differently; it lives for this call only, while the
-    payload keeps every row alive, so no id in it can be reused.
+    A list of scalars and tuples goes out as one string.  A list looks all
+    its items up at once in a memo of tuple texts (schedule rows, shared by
+    many schedules) per depth, and renders only the misses, as no text is
+    empty.  The memo is keyed by identity, because equal rows such as (1,),
+    (1.0,) and (True,) render differently; it lives for this call only, while
+    the payload keeps every row alive, so no id in it can be reused.
     """
-    rows = {}
+    memos = {}
 
-    def row_text(row, depth):
-        key = (id(row), depth)
-        text = rows.get(key)
-        if text is None:
-            parts = []
-            emit(row, depth, parts.append)
-            text = rows[key] = "".join(parts)
+    def item_text(item, depth, memo):
+        if not isinstance(item, tuple):
+            return _scalar_text(item)
+        parts = []
+        emit(item, depth, parts.append)
+        text = memo[id(item)] = "".join(parts)
         return text
 
     def emit(value, depth, write):
@@ -169,7 +169,10 @@ def write_json(path, payload) -> None:
             return
         inner = "\n" + _INDENT * (depth + 1)
         close = "\n" + _INDENT * depth + "]"
-        texts = [row_text(item, depth + 1) if isinstance(item, tuple) else _scalar_text(item) for item in items]
+        memo = memos.setdefault(depth + 1, {})
+        texts = list(map(memo.get, map(id, items)))
+        if None in texts:
+            texts = [text or item_text(item, depth + 1, memo) for item, text in zip(items, texts)]
         if None not in texts:
             write("[" + inner + ("," + inner).join(texts) + close)
             return

@@ -15,9 +15,9 @@ table of every schedule.  `_descents` slices such an array `_CHUNK` rows at
 a time, and one kernel, `_descend_chunk`, runs every descent: it sweeps a
 chunk in lockstep through stacked products, and `local_optimize` is a chunk
 of one.  Each row reads its own sign, so `_joint_descents` descends the
-starts of both senses of one problem in one run.  Each start's draws and
-arithmetic are bit for bit those of a start on its own, so no result
-depends on how the starts are batched.
+starts of both senses of one problem in one run, which `_joint_multistart`
+draws once for both.  Each start's draws and arithmetic are bit for bit
+those of a start on its own, so no result depends on how they are batched.
 
 Results stay arrays until they are reported: the kernel returns one `_Runs`
 block per chunk, with a row per start and the accepted values as (row, value)
@@ -449,8 +449,8 @@ def _census(sense: Sense, *streams: _Runs) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _mask_keys(masks: np.ndarray) -> np.ndarray:
-    """One opaque key per (n, e) row of `masks` that compares like its C-order bytes."""
-    rows = np.ascontiguousarray(masks).reshape(len(masks), -1)
+    """One opaque key per (n, e) row of `masks`, none for no rows, that compares like its C-order bytes."""
+    rows = np.ascontiguousarray(masks).reshape(len(masks), masks[:1].size)
     if not rows.shape[1]:
         # a schedule over no free edges has no bytes: every run reaches the
         # one empty schedule
@@ -458,15 +458,13 @@ def _mask_keys(masks: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
 
 
-def _aggregate(problem, starts, order, seed) -> MultistartReport:
-    """Descend every row of `starts`, an (S, n, e) endpoint mask array, in
-    `order`, and report the census of the fixed points reached; `best` is the
-    first run to reach the best key.  Only `best`'s selections are built
-    here, the other entries' on first read."""
-    runs = _descents(problem, starts, order)
+def _report(problem, runs, seed) -> MultistartReport:
+    """The census of the fixed points in `runs`, one problem's descents;
+    `best` is the first run to reach the best key.  Only `best`'s selections
+    are built here, the other entries' on first read."""
     first, value, hits = _census(problem.sense, runs)
     unique = _Extrema(problem.bounds, runs.masks[first], value.tolist(), hits[:, 0].tolist())
-    return MultistartReport(runs.optimum(first[0], unique[0][0]), unique, len(starts), seed)
+    return MultistartReport(runs.optimum(first[0], unique[0][0]), unique, len(runs.masks), seed)
 
 
 def _random_starts(problem, starts, seed) -> np.ndarray:
@@ -531,11 +529,17 @@ def multistart(
     the report is reproducible and independent of how the runs are executed.
     A `seed` that is not a non-negative integer raises ValueError.
     """
+    return _joint_multistart([problem], starts, seed, order)[0]
+
+
+def _joint_multistart(problems, starts, seed, order) -> list[MultistartReport]:
+    """`multistart` for problems that differ only in sense, from one draw in one `_joint_descents` run."""
     _check_integers(starts=starts)
     _check_seed(seed)
     if starts < 1:
         raise ValueError("need at least one start")
-    return _aggregate(problem, _random_starts(problem, starts, seed), order, int(seed))
+    runs = _joint_descents(problems, [_random_starts(problems[0], starts, seed)] * len(problems), order)
+    return [_report(problem, rows, int(seed)) for problem, rows in zip(problems, runs)]
 
 
 def multistart_exhaustive(problem: OptimizationProblem) -> MultistartReport:
@@ -557,4 +561,4 @@ def multistart_exhaustive(problem: OptimizationProblem) -> MultistartReport:
         f"{{count}} starts, over the budget of {EXHAUSTIVE_BUDGET}",
     )
     starts = _extremal_masks(e * problem.n).reshape(1 << e * problem.n, problem.n, e)
-    return _aggregate(problem, starts, SweepOrder.LEFT_TO_RIGHT, None)
+    return _report(problem, _descents(problem, starts, SweepOrder.LEFT_TO_RIGHT), None)

@@ -212,6 +212,37 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == "error: cannot hold 10000000000000 starts\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("free_edges", [True, False], ids=["free-edges", "no-free-edges"])
+    @pytest.mark.parametrize("seed", [0, 3, 9176])
+    @pytest.mark.parametrize("strategy", ["left-to-right", "right-to-left"])
+    def test_both_senses_are_each_sense_alone(self, tmp_path, capsys, free_edges, seed, strategy):
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--vertices", "5", "--steps", "3", "--seed", "2", "--out", str(inst)]) == 0
+        if not free_edges:
+            doc = json.loads(inst.read_text(encoding="utf-8"))
+            doc["upper"] = doc["lower"]
+            inst.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        printed, records = {}, {}
+        for sense in ("both", "min", "max"):
+            out = tmp_path / f"{sense}.json"
+            argv = ["bounds", str(inst), "--starts", "30", "--seed", str(seed), "--strategy", strategy]
+            assert main([*argv, "--sense", sense, "--out", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines.pop() == f"wrote {out}"
+            printed[sense], records[sense] = lines, json.loads(out.read_text(encoding="utf-8"))
+        assert ("(no free edges)" in printed["min"][2]) is not free_edges
+        assert printed["both"] == printed["min"] + printed["max"]
+        merged = {**records["min"]["results"], **records["max"]["results"]}
+        assert records["both"] == {**records["min"], "results": merged}
+
+    def test_one_call_draws_its_starts_once(self, example_file, capsys, monkeypatch):
+        draws = []
+        draw = optimize._random_starts
+        monkeypatch.setattr(optimize, "_random_starts", lambda *args: draws.append(args) or draw(*args))
+        assert main(["bounds", str(example_file), "--starts", "20", "--sense", "both"]) == 0
+        assert len(draws) == 1
+
 
 class TestOracleCommand:
     def test_exact_bounds(self, example_file, tmp_path, capsys):

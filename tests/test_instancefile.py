@@ -158,11 +158,36 @@ def documents(draw):
     }
 
 
+@st.composite
+def shared_objects(draw):
+    """A JSON tree that repeats the same objects at several depths, as a
+    record shares its step rows: tuples of scalars, tuples of those tuples
+    and lists of both, placed in lists beside scalars and inside dicts."""
+    rows = draw(st.lists(st.lists(SCALARS, max_size=3).map(tuple), min_size=1, max_size=4))
+    nested = draw(st.lists(st.lists(st.sampled_from(rows), max_size=3).map(tuple), max_size=3))
+    steps = draw(st.lists(st.lists(st.sampled_from(rows + nested) | SCALARS, max_size=4), max_size=3))
+    items = st.sampled_from(rows + nested + steps) | SCALARS
+    return draw(
+        st.recursive(
+            st.lists(items, max_size=5),
+            lambda children: st.lists(children | items, max_size=4) | st.dictionaries(st.text(), children, max_size=3),
+            max_leaves=12,
+        )
+    )
+
+
 class TestWriteJson:
     @settings(max_examples=300)
     @given(doc=documents())
     def test_writes_the_stdlib_indent_2_layout(self, doc, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "doc.json"
+        write_json(path, doc)
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=100)
+    @given(doc=shared_objects())
+    def test_shared_objects_at_several_depths(self, doc, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "shared.json"
         write_json(path, doc)
         assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
 
