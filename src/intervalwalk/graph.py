@@ -402,64 +402,47 @@ def validate(bounds: IntervalBounds) -> ValidationReport:
     low, up, marg = bounds.lower, bounds.upper, bounds.marginal
     violations: list[Violation] = []
 
-    for x in np.flatnonzero(marg <= 0.0):
-        violations.append(
-            Violation(ViolationCode.POSITIVITY, (int(x),), f"marginal W({x}) = {marg[x]} is not positive")
-        )
+    def flag(code: ViolationCode, where: np.ndarray, detail) -> None:
+        """One violation per True entry of `where`, in row-major order, at its
+        indices as Python ints and with the text `detail(*indices)`; the list
+        is extended at once, so `detail` reads the loop variables as they are."""
+        violations.extend(Violation(code, tuple(at), detail(*at)) for at in np.argwhere(where).tolist())
+
+    flag(ViolationCode.POSITIVITY, marg <= 0.0, lambda x: f"marginal W({x}) = {marg[x]} is not positive")
     for name, arr in (("lower", low), ("upper", up)):
-        for x, y in np.argwhere(arr < 0.0):
-            violations.append(
-                Violation(
-                    ViolationCode.POSITIVITY,
-                    (int(x), int(y)),
-                    f"{name}({x}, {y}) = {arr[x, y]} is negative",
-                )
-            )
+        flag(ViolationCode.POSITIVITY, arr < 0.0, lambda x, y: f"{name}({x}, {y}) = {arr[x, y]} is negative")
     for name, arr in (("lower", low), ("upper", up)):
-        for x, y in np.argwhere(np.triu(arr != arr.T, k=1)):
-            violations.append(
-                Violation(
-                    ViolationCode.SYMMETRY,
-                    (int(x), int(y)),
-                    f"{name}({x}, {y}) = {arr[x, y]} but {name}({y}, {x}) = {arr[y, x]}",
-                )
-            )
-    for x, y in np.argwhere(low > up):
-        violations.append(
-            Violation(
-                ViolationCode.ORDER,
-                (int(x), int(y)),
-                f"lower({x}, {y}) = {low[x, y]} exceeds upper({x}, {y}) = {up[x, y]}",
-            )
+        flag(
+            ViolationCode.SYMMETRY,
+            np.triu(arr != arr.T, k=1),
+            lambda x, y: f"{name}({x}, {y}) = {arr[x, y]} but {name}({y}, {x}) = {arr[y, x]}",
         )
+    flag(
+        ViolationCode.ORDER,
+        low > up,
+        lambda x, y: f"lower({x}, {y}) = {low[x, y]} exceeds upper({x}, {y}) = {up[x, y]}",
+    )
     row_upper = up.sum(axis=1)
-    for x in np.flatnonzero(row_upper > marg):
-        violations.append(
-            Violation(
-                ViolationCode.FEASIBILITY,
-                (int(x),),
-                f"upper bounds incident to {x} sum to {row_upper[x]} > W({x}) = {marg[x]}",
-            )
-        )
-    for x, y in np.argwhere(np.triu((up > 0.0) & (low <= 0.0), k=1)):
-        violations.append(
-            Violation(
-                ViolationCode.CONVENTION,
-                (int(x), int(y)),
-                f"edge ({x}, {y}) has upper = {up[x, y]} > 0 but lower = {low[x, y]}",
-            )
-        )
+    flag(
+        ViolationCode.FEASIBILITY,
+        row_upper > marg,
+        lambda x: f"upper bounds incident to {x} sum to {row_upper[x]} > W({x}) = {marg[x]}",
+    )
+    flag(
+        ViolationCode.CONVENTION,
+        np.triu((up > 0.0) & (low <= 0.0), k=1),
+        lambda x, y: f"edge ({x}, {y}) has upper = {up[x, y]} > 0 but lower = {low[x, y]}",
+    )
     components = connected_components(low > 0.0)
-    if len(components) > 1:
-        for component in components[1:]:
-            violations.append(
-                Violation(
-                    ViolationCode.CONNECTIVITY,
-                    tuple(component),
-                    f"states {component} are cut off from state {components[0][0]} "
-                    "on the graph of edges with positive lower bound",
-                )
+    for component in components[1:]:
+        violations.append(
+            Violation(
+                ViolationCode.CONNECTIVITY,
+                tuple(component),
+                f"states {component} are cut off from state {components[0][0]} "
+                "on the graph of edges with positive lower bound",
             )
+        )
 
     warnings = []
     if not violations:

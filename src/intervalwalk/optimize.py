@@ -122,15 +122,14 @@ class LocalOptimum:
 
 class _Runs(NamedTuple):
     """Descents as the engine keeps them, one row per start: (S, n, e)
-    endpoint masks, final and start values, sweeps and accepted improvements,
-    and every accepted value as a (row, value) event, in the order accepted.
-    Values are in each row's own sense."""
+    endpoint masks, final and start values and sweeps, and every accepted
+    value as a (row, value) event, in the order accepted.  Values are in
+    each row's own sense."""
 
     masks: np.ndarray
     value: np.ndarray
     start_value: np.ndarray
     sweeps: np.ndarray
-    improvements: np.ndarray
     event_rows: np.ndarray
     event_values: np.ndarray
 
@@ -140,16 +139,14 @@ class _Runs(NamedTuple):
         if (lo, hi) == (0, len(self.masks)):
             return self
         mine = (self.event_rows >= lo) & (self.event_rows < hi)
-        per_row = (column[lo:hi] for column in self[:5])
+        per_row = (column[lo:hi] for column in self[:4])
         return _Runs(*per_row, self.event_rows[mine] - lo, self.event_values[mine])
 
     def optimum(self, i, selections) -> LocalOptimum:
         """The reported form of row i, with its masks given as `selections`;
-        its trace is built here."""
+        its trace, and from it the count of improvements, is built here."""
         trace = (float(self.start_value[i]), *self.event_values[self.event_rows == i].tolist())
-        return LocalOptimum(
-            selections, float(self.value[i]), trace[0], int(self.sweeps[i]), int(self.improvements[i]), trace
-        )
+        return LocalOptimum(selections, float(self.value[i]), trace[0], int(self.sweeps[i]), len(trace) - 1, trace)
 
 
 class _Extrema(_LazyTuple):
@@ -353,9 +350,8 @@ def _descend_chunk(problem, masks, mats, pinned, sign, order) -> _Runs:
                 a[changed] for a in (active, value, masks, pinned, prefix, suffix)
             )
     event_rows = np.concatenate(event_rows)
-    improvements = np.bincount(event_rows, minlength=count)
     event_values = sign[event_rows] * np.concatenate(event_values)
-    return _Runs(out_masks, out_value, start_value, out_sweeps, improvements, event_rows, event_values)
+    return _Runs(out_masks, out_value, start_value, out_sweeps, event_rows, event_values)
 
 
 def local_optimize(

@@ -131,7 +131,8 @@ def exact_bounds(
     that is not an integer of at least 1, or a q or f that is not a finite
     vector over the states.
     Refuses (BudgetExceededError) when the (2^e)^n schedule evaluations would
-    exceed `budget`, or when 2^e extremal functions exceed 2^`EXTREMAL_CAP`.
+    exceed `budget`, or when 2^e extremal functions exceed 2^`EXTREMAL_CAP`;
+    n = 0 enumerates nothing and is never refused.
     """
     _check_integers(n=n, budget=budget)
     if n < 0:
@@ -140,6 +141,10 @@ def exact_bounds(
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     q, f = _checked_vectors(bounds, q=q, f=f)
+    if n == 0:
+        value = float(q @ f)
+        empty = _Schedules(bounds, np.zeros((1, 0), dtype=np.int32))
+        return ExactBounds(value, value, empty, empty)
     e = len(bounds.free_edges)
     _check_cap(e)
     _check_budget(
@@ -149,10 +154,6 @@ def exact_bounds(
         f"enumerating {n} steps over {e} free edges needs (2^{e})^{n} = {{count}} "
         f"evaluations, over the budget of {budget}",
     )
-    if n == 0:
-        value = float(q @ f)
-        empty = _Schedules(bounds, np.zeros((1, 0), dtype=np.int32))
-        return ExactBounds(value, value, empty, empty)
 
     table = _extremal_masks(e)
     stack = _transitions_from_masks(bounds, table)

@@ -306,6 +306,29 @@ class TestOracleCommand:
             "exact lower bound: 0.5 (1 optimal schedules)\nexact upper bound: 0.5 (1 optimal schedules)\n"
         )
 
+    def test_zero_steps_past_the_extremal_cap(self, tmp_path, capsys):
+        # 28 free edges, over the 2^20 cap, but zero steps enumerate nothing
+        path, out = tmp_path / "flat.json", tmp_path / "oracle.json"
+        args = ["gen", "--vertices", "8", "--steps", "0", "--seed", "1", "--disconnect-fraction", "0"]
+        assert main([*args, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", str(path), "--out", str(out)]) == 0
+        instance = load_instance(path)
+        assert len(instance.bounds.free_edges) == 28
+        value = float(instance.q @ instance.f)
+        assert capsys.readouterr().out == (
+            f"exact lower bound: {value!r} (1 optimal schedules)\n"
+            f"exact upper bound: {value!r} (1 optimal schedules)\n"
+            f"wrote {out}\n"
+        )
+        assert json.loads(out.read_text()) == {
+            "steps": 0,
+            "minimum": value,
+            "maximum": value,
+            "argmin": [[]],
+            "argmax": [[]],
+        }
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_exits_two(self, example_file, capsys, budget):
         assert main(["oracle", str(example_file), "--budget", budget]) == 2

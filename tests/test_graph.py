@@ -175,6 +175,58 @@ class TestValidate:
         assert report.ok
         assert len(report.warnings) == 1 and "state 0" in report.warnings[0]
 
+    def test_report_text_is_pinned(self):
+        """Every code and the loop-weight warning, with their indices and
+        text, in the order validate reports them."""
+        lower = [
+            [0.0, 0.5, -0.25, 0.0],
+            [0.5, 0.0, 0.25, 0.0],
+            [-0.25, 0.125, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+        upper = [
+            [0.0, 0.25, 0.5, 0.0],
+            [0.25, 0.0, 1.0, 0.5],
+            [0.5, 1.0, 0.0, -0.5],
+            [0.0, 0.0, -0.5, 0.0],
+        ]
+        report = validate(IntervalBounds(lower, upper, [1.0, 1.0, 1.5, 0.0]))
+        expected = [
+            ("POSITIVITY", (3,), "marginal W(3) = 0.0 is not positive"),
+            ("POSITIVITY", (0, 2), "lower(0, 2) = -0.25 is negative"),
+            ("POSITIVITY", (2, 0), "lower(2, 0) = -0.25 is negative"),
+            ("POSITIVITY", (2, 3), "upper(2, 3) = -0.5 is negative"),
+            ("POSITIVITY", (3, 2), "upper(3, 2) = -0.5 is negative"),
+            ("SYMMETRY", (1, 2), "lower(1, 2) = 0.25 but lower(2, 1) = 0.125"),
+            ("SYMMETRY", (1, 3), "upper(1, 3) = 0.5 but upper(3, 1) = 0.0"),
+            ("ORDER", (0, 1), "lower(0, 1) = 0.5 exceeds upper(0, 1) = 0.25"),
+            ("ORDER", (1, 0), "lower(1, 0) = 0.5 exceeds upper(1, 0) = 0.25"),
+            ("ORDER", (2, 3), "lower(2, 3) = 0.0 exceeds upper(2, 3) = -0.5"),
+            ("ORDER", (3, 2), "lower(3, 2) = 0.0 exceeds upper(3, 2) = -0.5"),
+            ("FEASIBILITY", (1,), "upper bounds incident to 1 sum to 1.75 > W(1) = 1.0"),
+            ("CONVENTION", (0, 2), "edge (0, 2) has upper = 0.5 > 0 but lower = -0.25"),
+            ("CONVENTION", (1, 3), "edge (1, 3) has upper = 0.5 > 0 but lower = 0.0"),
+            (
+                "CONNECTIVITY",
+                (3,),
+                "states [3] are cut off from state 0 on the graph of edges with positive lower bound",
+            ),
+        ]
+        assert [(v.code.name, v.where, v.detail) for v in report.violations] == expected
+        assert all(type(x) is int for v in report.violations for x in v.where)
+        assert report.warnings == ()
+        assert str(report) == "\n".join(f"{code} at {where}: {detail}" for code, where, detail in expected)
+
+        report = validate(
+            IntervalBounds([[0.0, 0.25], [0.25, 0.0]], [[0.0, 0.75], [0.75, 0.0]], [0.75, 1.0])
+        )
+        warning = (
+            "state 0: the admissible loop weight can reach 0 "
+            "(upper bounds exhaust the marginal); some walks lose aperiodicity"
+        )
+        assert report.violations == () and report.warnings == (warning,)
+        assert str(report) == f"warning: {warning}"
+
     @given(bounds=interval_bounds())
     def test_generated_bounds_are_valid(self, bounds):
         assert validate(bounds).ok

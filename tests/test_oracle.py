@@ -112,6 +112,17 @@ class TestExactBounds:
         assert res.minimum == res.maximum == 0.0
         assert res.argmin == ((),)
 
+    def test_zero_steps_past_the_extremal_cap(self):
+        # zero steps enumerate nothing, so neither the cap nor the budget refuses
+        bounds, q, f = generate_instance(GenParams(8, seed=1, disconnect_fraction=0.0))
+        assert len(bounds.free_edges) == 28 > oracle.EXTREMAL_CAP
+        res = exact_bounds(bounds, q, f, 0, budget=1)
+        assert res.minimum == res.maximum == float(q @ f)
+        assert res.argmin == res.argmax == ((),)
+        assert res.argmin.masks.shape == (1, 0, 28)
+        with pytest.raises(BudgetExceededError, match="28 free edges would enumerate 2\\^28"):
+            exact_bounds(bounds, q, f, 1)
+
     def test_argmin_values_really_attain_the_bound(self):
         bounds, q, f = generate_instance(GenParams(s=3, seed=5))
         res = exact_bounds(bounds, q, f, 2)
