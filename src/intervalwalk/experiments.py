@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +99,9 @@ class ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    data = asdict(config)
+    """The config's fields by name, its enums as their values; the fields
+    are immutable, so they are shared rather than copied."""
+    data = {field.name: getattr(config, field.name) for field in fields(ExperimentConfig)}
     data["sense"] = config.sense.value
     data["order"] = config.order.value
     return data

@@ -134,6 +134,26 @@ class IntervalBounds:
         return i * s + j, j * s + i, np.arange(s) * (s + 1)
 
     @cached_property
+    def _incidence(self) -> np.ndarray:
+        """The (s, e) signed incidence matrix of the free edges: edge k's
+        column holds +1 in row i and -1 in row j, so `h @ _incidence` is
+        h(i) - h(j) per edge."""
+        i, j = self._free_idx
+        d = np.zeros((self.size, len(i)))
+        edge = np.arange(len(i))
+        d[i, edge] = 1.0
+        d[j, edge] = -1.0
+        d.setflags(write=False)
+        return d
+
+    @cached_property
+    def _marginal_rows(self) -> np.ndarray:
+        """The s x s matrix holding W(x) in every entry of row x.  A C-order
+        stack of s x s matrices divided by it is divided as one flat loop per
+        matrix, as numpy merges the two contiguous axes."""
+        return _frozen_array(np.repeat(self.marginal, self.size).reshape(self.size, self.size))
+
+    @cached_property
     def free_edges(self) -> tuple[tuple[int, int], ...]:
         """Edges with lower < upper, i.e. where an endpoint choice exists.
 
@@ -485,7 +505,7 @@ def _weights_from_masks(bounds: IntervalBounds, masks: np.ndarray) -> np.ndarray
     flat.T[ij] = chosen
     flat.T[ji] = chosen
     m = flat.reshape(masks.shape[:-1] + (s, s))
-    flat.T[diag] = (bounds.marginal - m.sum(axis=-1)).T
+    flat.T[diag] = (bounds.marginal - np.add.reduce(m, axis=-1)).T
     return m
 
 
@@ -494,7 +514,7 @@ def _transitions_from_masks(bounds: IntervalBounds, masks: np.ndarray) -> np.nda
     the weight matrices of `_weights_from_masks`, each row divided in place
     by its marginal, so the stack is never held twice."""
     m = _weights_from_masks(bounds, masks)
-    m /= bounds.marginal[:, None]
+    m /= bounds._marginal_rows
     return m
 
 
@@ -575,10 +595,18 @@ def edge_gradient(bounds: IntervalBounds, q, f) -> np.ndarray:
 
 
 def _gradient_upper_mask(bounds: IntervalBounds, h: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Endpoint mask of the one-step minimizer, from precomputed h = q / W."""
-    i, j = bounds._free_idx
-    g = (h[i] - h[j]) * (f[j] - f[i])
-    return g <= 0.0
+    """Endpoint masks of the one-step minimizer, (..., e), from (..., s)
+    stacks of precomputed h = q / W and of f: True where the edge gradient
+    g = (h(i) - h(j)) (f(j) - f(i)) is <= 0.
+
+    Each difference is one product with the ±1 incidence matrix, and exact:
+    its other terms are exact zeros, so h(i) - h(j) is rounded once in any
+    summation order.  The product of the two differences is then exactly
+    -g, and `>= 0` is the rule `g <= 0`, ties at the upper endpoint."""
+    d = bounds._incidence
+    product = np.matmul(h, d)
+    product *= np.matmul(f, d)
+    return product >= 0.0
 
 
 def one_step_minimizer(bounds: IntervalBounds, q, f) -> tuple[WeightFunction, EdgeSelection]:

@@ -213,7 +213,7 @@ def improve_at(
     schedule's value.  Every step must be admissible for the problem's
     bounds (ValueError naming the step otherwise).
     """
-    mats = _checked_schedule(problem, tuple(schedule), "schedule", k) / problem.bounds.marginal[:, None]
+    mats = _checked_schedule(problem, tuple(schedule), "schedule", k) / problem.bounds._marginal_rows
     ql = problem.q
     for mat in mats[:k]:
         ql = ql @ mat
@@ -245,8 +245,7 @@ def _candidate(bounds, ql, fr):
     """Endpoint masks, transition matrices and values <ql, P fr> of the best
     steps between prefix masses `ql` and suffix payoffs `fr`, one per row of
     (..., s) stacks."""
-    # the gradient kernel indexes its first axis, so it takes (s, ...) stacks
-    mask = _gradient_upper_mask(bounds, (ql / bounds.marginal).T, fr.T).T
+    mask = _gradient_upper_mask(bounds, ql / bounds.marginal, fr)
     mat = _transitions_from_masks(bounds, mask)
     return mask, mat, np.vecdot(ql, np.matmul(mat, fr[..., None])[..., 0])
 
@@ -261,30 +260,31 @@ def _descend_chunk(problem, masks, mats, pinned, sign, order) -> _Runs:
     each start has made a full pass that changes nothing; one `_Runs` block
     for the chunk, a row per start, in chunk order.
 
-    Takes (B, n, e) endpoint masks, the (B, n, s, s) transition matrices of
-    the start schedules and a (B, n) flag per step, False for a step not yet
-    pinned to its mask (an interior start step), and consumes all three; and
-    a (B,) sign per row, 1.0 for MIN and -1.0 for MAX, so a chunk may mix the
-    senses of one (bounds, q, f, n).  Each start minimizes
-    <q, P_1 ... P_n sign·f> with its own sign and accepts a replacement
-    only when it gains more than TOL·max(1, |value|); a step not yet pinned
-    takes its candidate on first visit, better or not: the objective is
-    linear in one step's weights, so in exact arithmetic the endpoint
-    candidate is never worse.  Step k reads the prefix mass before it and the
-    suffix payoff after it, from (B, n + 1, s) stacks.  The side the sweep
-    walks away from is rebuilt at the start of each sweep; the side it walks
-    toward is extended after each step, so neither is stale when read.  A
-    start leaves the active set after a sweep with no change.  Every product
-    is a stacked np.matmul or np.vecdot, bit for bit the per-start `@`, so a
-    start's result does not depend on the chunk it runs in; multiplying by
-    a sign of ±1 is exact, so neither does it depend on the senses of the
-    other rows.  Results are in each row's own sense.  The block's masks are
-    the given `masks` array, each row overwritten by its fixed point when its
-    start leaves.
+    Takes (B, n, e) endpoint masks and the (B, n, s, s) transition matrices
+    of the start schedules, and consumes both; a (B, n) flag per step, False
+    for a step not yet pinned to its mask (an interior start step), or None
+    when every step is pinned; and a (B,) sign per row, 1.0 for MIN and -1.0
+    for MAX, so a chunk may mix the senses of one (bounds, q, f, n).  Each
+    start minimizes <q, P_1 ... P_n sign·f> with its own sign and accepts a
+    replacement only when it gains more than TOL·max(1, |value|); a step not
+    yet pinned takes its candidate on first visit, better or not: the
+    objective is linear in one step's weights, so in exact arithmetic the
+    endpoint candidate is never worse.  The first sweep visits every step,
+    so after it every step is pinned.  Step k reads the prefix mass before
+    it and the suffix payoff after it, from (B, n + 1, s) stacks.  The side
+    the sweep walks away from is rebuilt at the start of each sweep; the
+    side it walks toward is extended after each step, so neither is stale
+    when read.  A start leaves the active set after a sweep with no change.
+    Every product is a stacked np.matmul or np.vecdot, bit for bit the
+    per-start `@`, so a start's result does not depend on the chunk it runs
+    in; multiplying by a sign of ±1 is exact, so neither does it depend on
+    the senses of the other rows.  Results are in each row's own sense.  The
+    block's masks are the given `masks` array, each row overwritten by its
+    fixed point when its start leaves.
     """
     bounds = problem.bounds
     q = problem.q
-    count, n = pinned.shape
+    count, n = masks.shape[:2]
     prefix = np.empty((count, n + 1, bounds.size))
     suffix = np.empty_like(prefix)
     prefix[:, 0] = q
@@ -320,15 +320,16 @@ def _descend_chunk(problem, masks, mats, pinned, sign, order) -> _Runs:
         for k in steps:
             mask, mat, v_new = _candidate(bounds, prefix[:, k], suffix[:, k + 1])
             better = v_new < value - TOL * np.maximum(1.0, np.abs(value))
-            take = better | ~pinned[:, k]
+            take = better if pinned is None else better | ~pinned[:, k]
             np.copyto(masks[:, k], mask, where=take[:, None])
             np.copyto(mats[:, k], mat, where=take[:, None, None])
             np.copyto(value, v_new, where=take)
-            pinned[:, k] = True
             changed |= take
             event_rows.append(active[better])
             event_values.append(v_new[better])
             advance(k)
+        # the first sweep has visited, and so pinned, every step
+        pinned = None
         done = ~changed
         # after a pass with no change, in either order, suffix[:, 0] is the
         # fold of the final schedule from f, one pull per step; until the
@@ -346,8 +347,8 @@ def _descend_chunk(problem, masks, mats, pinned, sign, order) -> _Runs:
                 rows = keep[lo : lo + 16]
                 mats[lo : lo + rows.size] = mats[rows]
             mats = mats[: keep.size]
-            active, value, masks, pinned, prefix, suffix = (
-                a[changed] for a in (active, value, masks, pinned, prefix, suffix)
+            active, value, masks, prefix, suffix = (
+                a[changed] for a in (active, value, masks, prefix, suffix)
             )
     event_rows = np.concatenate(event_rows)
     event_values = sign[event_rows] * np.concatenate(event_values)
@@ -376,7 +377,7 @@ def local_optimize(
     # an interior step is not pinned: it takes its candidate on first visit,
     # so its mask is never read
     masks, pinned = _upper_masks(problem.bounds, weights)
-    weights /= problem.bounds.marginal[:, None]
+    weights /= problem.bounds._marginal_rows
     sign = np.array([problem.sense.sign])
     runs = _descend_chunk(problem, masks[None], weights[None], pinned[None], sign, order)
     return runs.optimum(0, _selections_from_masks(problem.bounds, runs.masks[0]))
@@ -401,9 +402,7 @@ def _draw_upper_masks(bounds: IntervalBounds, n: int, rngs) -> np.ndarray:
     ranks = np.reshape(ranks, (len(ranks), n, 2, s))
     masks = np.empty((len(ranks), n, len(bounds.free_edges)), dtype=bool)
     for t in range(n):
-        # the gradient kernel indexes its first axis, so it takes (s, S)
-        # rankings and returns (e, S) masks
-        masks[:, t] = _gradient_upper_mask(bounds, ranks[:, t, 0].T, ranks[:, t, 1].T).T
+        masks[:, t] = _gradient_upper_mask(bounds, ranks[:, t, 0], ranks[:, t, 1])
     return masks
 
 
@@ -506,8 +505,7 @@ def _joint_descents(problems, starts, order) -> list[_Runs]:
     for lo in range(0, len(table), _CHUNK):
         chunk = table[lo : lo + _CHUNK]
         mats = _transitions_from_masks(bounds, chunk)
-        pinned = np.ones(chunk.shape[:2], dtype=bool)
-        runs = _descend_chunk(problems[0], chunk, mats, pinned, sign[lo : lo + _CHUNK], order)
+        runs = _descend_chunk(problems[0], chunk, mats, None, sign[lo : lo + _CHUNK], order)
         blocks.append(runs._replace(event_rows=runs.event_rows + lo))
     runs = _Runs(table, *(np.concatenate(column) for column in list(zip(*blocks))[1:]))
     return [runs.rows(lo, hi) for lo, hi in zip(ends, ends[1:])]

@@ -25,7 +25,14 @@ from intervalwalk import (
     weight_from_selection,
     weight_matrix_from_mask,
 )
-from intervalwalk.graph import _checked_weights, _extremal_masks, _weight_functions, _weights_from_masks
+from intervalwalk.graph import (
+    _checked_weights,
+    _extremal_masks,
+    _gradient_upper_mask,
+    _transitions_from_masks,
+    _weight_functions,
+    _weights_from_masks,
+)
 from intervalwalk.oracle import enumerate_extremal
 
 
@@ -344,6 +351,27 @@ class TestWeightFunctions:
         assert not w.offdiag.flags.writeable and not w.loop.flags.writeable
 
 
+class TestTransitionsFromMasks:
+    """The stacked transition builder, bit for bit the per-row division."""
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=["vector", "rows", "rows-steps"])
+    @pytest.mark.parametrize(
+        "states, free", [(4, True), (7, True), (20, True), (5, False)], ids=["4", "7", "20", "no-free-edges"]
+    )
+    def test_stack_matches_the_per_row_division(self, shape, states, free):
+        bounds, _, _ = generate_instance(GenParams(s=states, seed=states))
+        if not free:
+            bounds = IntervalBounds(bounds.lower, bounds.lower, bounds.marginal)
+        e = len(bounds.free_edges)
+        assert (e == 0) == (not free)
+        masks = np.random.default_rng(states).random(shape + (e,)) < 0.5
+        stack = _transitions_from_masks(bounds, masks)
+        assert stack.shape == shape + (bounds.size, bounds.size)
+        rows = masks.reshape(int(np.prod(shape)), e)
+        expected = np.array([weight_matrix_from_mask(bounds, m) / bounds.marginal[:, None] for m in rows])
+        assert stack.tobytes() == expected.tobytes()
+
+
 class TestCheckedWeights:
     """The start check returns the weight stack it checked."""
 
@@ -401,6 +429,34 @@ class TestEdgeGradient:
             before = expectation(bounds, q, (w,), f)
             after = expectation(bounds, q, (shifted,), f)
             assert close(before - after, d * g[0, 1])
+
+
+@st.composite
+def gradient_stacks(draw):
+    """Bounds on 2-8 states and h, f stacks of shape (s,), (k, s) or
+    (k, m, s), from a value set small enough that exact ties, zeros and
+    negatives occur."""
+    bounds = draw(interval_bounds(max_states=8))
+    shape = draw(st.sampled_from([(), (3,), (2, 3)])) + (bounds.size,)
+    values = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+    size = int(np.prod(shape))
+    h, f = (np.reshape(draw(st.lists(values, min_size=size, max_size=size)), shape) for _ in "hf")
+    return bounds, h, f
+
+
+class TestGradientUpperMask:
+    """The one-step minimizer's endpoint rule, apart from every kernel that uses it."""
+
+    @given(args=gradient_stacks())
+    def test_matches_the_written_out_rule(self, args):
+        bounds, h, f = args
+        no_free = IntervalBounds(bounds.lower, bounds.lower, bounds.marginal)
+        for b in (bounds, no_free):
+            i, j = b._free_idx
+            expected = (h[..., i] - h[..., j]) * (f[..., j] - f[..., i]) <= 0
+            mask = _gradient_upper_mask(b, h, f)
+            assert mask.dtype == bool and mask.shape == expected.shape
+            assert np.array_equal(mask, expected)
 
 
 class TestOneStepMinimizer:
