@@ -134,19 +134,6 @@ class IntervalBounds:
         return i * s + j, j * s + i, np.arange(s) * (s + 1)
 
     @cached_property
-    def _incidence(self) -> np.ndarray:
-        """The (s, e) signed incidence matrix of the free edges: edge k's
-        column holds +1 in row i and -1 in row j, so `h @ _incidence` is
-        h(i) - h(j) per edge."""
-        i, j = self._free_idx
-        d = np.zeros((self.size, len(i)))
-        edge = np.arange(len(i))
-        d[i, edge] = 1.0
-        d[j, edge] = -1.0
-        d.setflags(write=False)
-        return d
-
-    @cached_property
     def _marginal_rows(self) -> np.ndarray:
         """The s x s matrix holding W(x) in every entry of row x.  A C-order
         stack of s x s matrices divided by it is divided as one flat loop per
@@ -597,16 +584,18 @@ def edge_gradient(bounds: IntervalBounds, q, f) -> np.ndarray:
 def _gradient_upper_mask(bounds: IntervalBounds, h: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Endpoint masks of the one-step minimizer, (..., e), from (..., s)
     stacks of precomputed h = q / W and of f: True where the edge gradient
-    g = (h(i) - h(j)) (f(j) - f(i)) is <= 0.
-
-    Each difference is one product with the ±1 incidence matrix, and exact:
-    its other terms are exact zeros, so h(i) - h(j) is rounded once in any
-    summation order.  The product of the two differences is then exactly
-    -g, and `>= 0` is the rule `g <= 0`, ties at the upper endpoint."""
-    d = bounds._incidence
-    product = np.matmul(h, d)
-    product *= np.matmul(f, d)
-    return product >= 0.0
+    g = (h(i) - h(j)) (f(j) - f(i)) is <= 0, ties at the upper endpoint."""
+    # `take` along the first axis of the transposed views is cheaper than
+    # fancy indexing, and than h[..., i] on wide stacks; the mask comes back
+    # in the layout whose transpose `_weights_from_masks` scatters from
+    i, j = bounds._free_idx
+    h, f = h.T, f.T
+    g = h.take(i, axis=0)
+    g -= h.take(j, axis=0)
+    d = f.take(j, axis=0)
+    d -= f.take(i, axis=0)
+    g *= d
+    return (g <= 0.0).T
 
 
 def one_step_minimizer(bounds: IntervalBounds, q, f) -> tuple[WeightFunction, EdgeSelection]:

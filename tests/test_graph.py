@@ -458,6 +458,19 @@ class TestGradientUpperMask:
             assert mask.dtype == bool and mask.shape == expected.shape
             assert np.array_equal(mask, expected)
 
+    @pytest.mark.parametrize("shape", [(256,), (2, 128)], ids=["rows", "rows-steps"])
+    def test_wide_stack_on_twenty_states(self, shape):
+        """A kernel-sized stack: 256 rows on a 20-state instance, with values
+        from a small set so that ties and zero gradients occur."""
+        bounds, _, _ = generate_instance(GenParams(s=20, seed=20))
+        rng = np.random.default_rng(20)
+        values = np.array([-1.0, 0.0, 0.5, 1.0])
+        h, f = (rng.choice(values, size=shape + (20,)) for _ in "hf")
+        i, j = bounds._free_idx
+        g = (h[..., i] - h[..., j]) * (f[..., j] - f[..., i])
+        assert (g == 0).any() and (g < 0).any() and (g > 0).any()
+        assert np.array_equal(_gradient_upper_mask(bounds, h, f), g <= 0)
+
 
 class TestOneStepMinimizer:
     def test_prefers_upper_on_negative_gradient(self, two_state):
