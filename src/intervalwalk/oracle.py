@@ -3,8 +3,9 @@
 Optima over admissible weight schedules are always attained at per-step
 extremal weight functions, so enumerating the 2^e endpoint selections per
 step (e = number of free edges) and folding every combination gives ground
-truth.  The enumeration refuses instead of approximating when the requested
-work exceeds its budget.
+truth.  The fold runs in blocks of prefixes, not one prefix at a time: one
+einsum pushes a whole block one step.  The enumeration refuses instead of
+approximating when the requested work exceeds its budget.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ ARGOPT_ATOL = 1e-12
 
 #: Most free edges whose 2^e extremal weight functions are enumerated.
 EXTREMAL_CAP = 20
+
+# Most (prefix, last step) values `exact_bounds` evaluates in one batch, and
+# most transition rows it builds at once; a prefix with more last steps is a
+# batch of its own.
+_BATCH = 2**14
 
 
 class BudgetExceededError(RuntimeError):
@@ -94,38 +100,22 @@ def _check_budget(e: int, n: int, budget: int, message: str) -> None:
         raise BudgetExceededError(message.format(count=count))
 
 
-def _prefix_masses(stack: np.ndarray, ql: np.ndarray, steps: int):
-    """Depth first, in ascending prefix index, the mass `ql` pushed through
-    each of the m^`steps` prefixes of `steps` >= 0 steps drawn from the
-    (m, s, s) transition stack.  An explicit stack of (steps left, mass)
-    pairs stands in for recursion, so any depth runs; the last step yields
-    the rows of one push."""
-    todo = [(steps, ql)]
-    while todo:
-        left, mass = todo.pop()
-        if not left:
-            yield mass
-            continue
-        pushed = np.einsum("x,mxy->my", mass, stack)
-        if left == 1:
-            yield from pushed
-        else:
-            # reversed, so the first row is popped first
-            todo.extend((left - 1, row) for row in pushed[::-1])
-
-
 def exact_bounds(
     bounds: IntervalBounds, q, f, n: int, budget: int = 2**24
 ) -> ExactBounds:
     """Exact minimum and maximum of the n-step expectation over extremal
     schedules, with every optimal schedule within 1e-12 of the optimum.
 
-    One depth-first pass keeps each leaf block (the 2^e last steps of one
-    prefix) that can hold an optimum of either sense, and both answers are
-    read from those blocks.  Optimal schedules are listed in lexicographic
-    order, step by step, of the selection order of ``graph._extremal_masks``,
-    as read-only sequences that build a schedule's selections when it is
-    read, so counting ties builds none.
+    A leaf block is one prefix of n - 1 steps and the values of its 2^e last
+    steps.  Prefixes are pushed a block at a time, and leaf blocks are
+    evaluated in batches of at most max(2^14, 2^e) values, in ascending
+    prefix order.  One pass keeps each leaf block that can hold an optimum of
+    either sense, and both answers are read from those blocks.  Every value
+    is bit for bit that of a fold one prefix at a time, as each sum runs in
+    the same order.  Optimal schedules are listed in lexicographic order,
+    step by step, of the selection order of ``graph._extremal_masks``, as
+    read-only sequences that build a schedule's selections when it is read,
+    so counting ties builds none.
 
     Raises ValueError on an `n` that is not a nonnegative integer, a `budget`
     that is not an integer of at least 1, or a q or f that is not a finite
@@ -155,35 +145,56 @@ def exact_bounds(
         f"evaluations, over the budget of {budget}",
     )
 
-    table = _extremal_masks(e)
-    stack = _transitions_from_masks(bounds, table)
-    m = stack.shape[0]
+    # the one-step stack summed axis first, (s, m, s), so einsum's inner loop
+    # runs over a prefix's m·s pushed values at once; filled a block at a
+    # time, as a transposed copy would hold it twice
+    s, m = bounds.size, 1 << e
+    stack = np.empty((s, m, s))
+    rows = max(1, _BATCH // s)
+    for a in range(0, m, rows):
+        block = _extremal_masks(e, np.arange(a, min(a + rows, m)))
+        stack[:, a : a + rows] = _transitions_from_masks(bounds, block).transpose(1, 0, 2)
+
     lo, hi = np.inf, -np.inf
-    kept: list[tuple[int, np.ndarray]] = []  # (prefix index, leaf values), ascending
+    kept: list[tuple[np.ndarray, np.ndarray]] = []  # (prefix indices, leaf values) per batch
+    done = 0  # prefixes evaluated; batches arrive in ascending prefix order
 
-    def near(low, high) -> bool:
-        """Whether a leaf block spanning [low, high] can hold an optimum of either sense."""
-        return low <= lo + ARGOPT_ATOL or high >= hi - ARGOPT_ATOL
+    def near(index, values) -> tuple[np.ndarray, np.ndarray]:
+        """The leaf blocks, rows of `values` with prefix indices `index`, that
+        can hold an optimum of either sense."""
+        k = (values.min(axis=1) <= lo + ARGOPT_ATOL) | (values.max(axis=1) >= hi - ARGOPT_ATOL)
+        return index[k], values[k]
 
-    # a leaf block is one prefix of n - 1 steps with the values of its m last steps
-    for index, ql in enumerate(_prefix_masses(stack, q, n - 1)):
-        values = np.einsum("x,mxy->my", ql, stack) @ f
+    # an explicit stack of (steps left, prefix masses) blocks stands in for
+    # recursion, so any depth runs; a block holds at most `per` prefixes
+    per = max(1, _BATCH // m)
+    todo = [(n - 1, q[None])]
+    while todo:
+        left, masses = todo.pop()
+        pushed = np.einsum("kx,xmy->kmy", masses, stack)
+        if left:
+            pushed = pushed.reshape(-1, s)
+            # reversed, so the first block is popped first
+            todo.extend((left - 1, pushed[i : i + per]) for i in reversed(range(0, len(pushed), per)))
+            continue
+        values = pushed @ f
         low, high = float(values.min()), float(values.max())
         if low < lo or high > hi:
             lo, hi = min(lo, low), max(hi, high)
-            kept = [(i, v) for i, v in kept if near(v.min(), v.max())]
-        if near(low, high):
-            kept.append((index, values))
+            kept = [near(i, v) for i, v in kept]
+        kept.append(near(done + np.arange(len(values)), values))
+        done += len(values)
 
-    # each kept prefix's n - 1 base-m digits, first step most significant,
-    # read in Python integers, as a prefix index can pass 64 bits; a digit
+    index = np.concatenate([i for i, _ in kept])
+    values = np.concatenate([v for _, v in kept])
+    # each kept prefix's n - 1 base-m digits, first step most significant; the
+    # enumeration has counted to every index, so it fits 64 bits, and a digit
     # is below m <= 2^EXTREMAL_CAP, so it fits 32 bits
-    powers = [m**p for p in reversed(range(n - 1))]
-    prefixes = np.array([[index // p % m for p in powers] for index, _ in kept], dtype=np.int32)
+    prefixes = (index[:, None] // m ** np.arange(n - 2, -1, -1) % m).astype(np.int32)
 
     def schedules(hit) -> _Schedules:
         # row-major, so in ascending prefix and then leaf index
-        block, leaf = np.nonzero([hit(values) for _, values in kept])
+        block, leaf = np.nonzero(hit)
         digits = np.empty((len(block), n), dtype=np.int32)
         digits[:, :-1] = prefixes[block]
         digits[:, -1] = leaf
@@ -192,6 +203,6 @@ def exact_bounds(
     return ExactBounds(
         lo,
         hi,
-        schedules(lambda values: values <= lo + ARGOPT_ATOL),
-        schedules(lambda values: values >= hi - ARGOPT_ATOL),
+        schedules(values <= lo + ARGOPT_ATOL),
+        schedules(values >= hi - ARGOPT_ATOL),
     )

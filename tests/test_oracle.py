@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intervalwalk import (
     EdgeChoice,
@@ -23,8 +25,8 @@ from intervalwalk import (
     weight_from_selection,
 )
 from intervalwalk import oracle
-from intervalwalk.graph import _extremal_masks
-from intervalwalk.oracle import BudgetExceededError
+from intervalwalk.graph import _extremal_masks, _transitions_from_masks
+from intervalwalk.oracle import ARGOPT_ATOL, BudgetExceededError
 
 
 def triangle_bounds():
@@ -34,6 +36,74 @@ def triangle_bounds():
         lower[i, j] = lower[j, i] = 0.1
         upper[i, j] = upper[j, i] = 0.4
     return IntervalBounds(lower, upper, np.full(3, 1.0))
+
+
+def per_prefix_bounds(bounds, q, f, n):
+    """Exact bounds by a depth-first fold one prefix at a time over the
+    (2^e, s, s) stack: the reference `exact_bounds` must match bit for bit.
+    Returns the minimum, the maximum and the argmin and argmax digits."""
+    e = len(bounds.free_edges)
+    stack = _transitions_from_masks(bounds, _extremal_masks(e))
+    leaves = []  # each prefix's last-step values, in ascending prefix order
+    todo = [(n - 1, np.asarray(q, dtype=float))]
+    while todo:
+        left, mass = todo.pop()
+        pushed = np.einsum("x,mxy->my", mass, stack)
+        if left:
+            todo.extend((left - 1, row) for row in pushed[::-1])
+        else:
+            leaves.append(pushed @ f)
+    values = np.concatenate(leaves)  # by schedule index, first step most significant
+    lo, hi = float(values.min()), float(values.max())
+
+    def digits(hit):
+        return np.stack(np.unravel_index(np.flatnonzero(hit), (1 << e,) * n), axis=1)
+
+    return lo, hi, digits(values <= lo + ARGOPT_ATOL), digits(values >= hi - ARGOPT_ATOL)
+
+
+@st.composite
+def prefix_blocks(draw):
+    """A block of k prefix masses, an (m, s, s) one-step stack and a payoff,
+    with entries of either sign and magnitudes from 1e-3 to 1e3."""
+    s, m, k = draw(st.integers(2, 8)), draw(st.integers(1, 1024)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(*shape):
+        return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+    return entries(k, s), entries(m, s, s), entries(s)
+
+
+class TestBlockArithmetic:
+    """The blocked enumeration's sums against the per-prefix fold's, byte for byte."""
+
+    @given(args=prefix_blocks())
+    def test_block_push_equals_per_prefix_push(self, args):
+        masses, stack, f = args
+        pushed = np.einsum("kx,xmy->kmy", masses, np.ascontiguousarray(stack.transpose(1, 0, 2)))
+        expected = np.stack([np.einsum("x,mxy->my", mass, stack) for mass in masses])
+        assert pushed.tobytes() == expected.tobytes()
+        assert (pushed @ f).tobytes() == np.stack([p @ f for p in expected]).tobytes()
+
+    @pytest.mark.parametrize("batch", [oracle._BATCH, 16, 1])
+    def test_exact_bounds_matches_the_per_prefix_fold(self, monkeypatch, batch):
+        # small batches split these instances into many blocks and batches
+        monkeypatch.setattr(oracle, "_BATCH", batch)
+        rng = np.random.default_rng(30)
+        for seed in range(40):
+            bounds, q, f = generate_instance(GenParams(s=2 + seed % 5, seed=seed))
+            e = len(bounds.free_edges)
+            if seed % 4 == 1:
+                f = np.full(bounds.size, 0.7)  # every schedule ties
+            elif seed % 4 == 2:
+                q, f = rng.normal(size=(2, bounds.size))
+            for n in range(1, 1 + min(4, 12 // max(e, 1))):
+                res = exact_bounds(bounds, q, f, n)
+                lo, hi, argmin, argmax = per_prefix_bounds(bounds, q, f, n)
+                assert (res.minimum.hex(), res.maximum.hex()) == (lo.hex(), hi.hex())
+                assert np.array_equal(res.argmin._digits, argmin)
+                assert np.array_equal(res.argmax._digits, argmax)
 
 
 class TestEnumerateExtremal:
@@ -90,6 +160,22 @@ class TestEnumerateExtremal:
 
 
 class TestExactBounds:
+    def test_holds_the_transition_stack_about_once(self):
+        # the summed-axis-first stack is filled a block at a time, since a
+        # transposed copy of a whole (2^e, s, s) stack would peak at twice it
+        bounds, q, f = generate_instance(GenParams(s=7, seed=0))
+        e = len(bounds.free_edges)
+        assert e == 15
+        one_step_minimizer(bounds, q, f)  # builds the bounds' cached index arrays
+        gc.collect()
+        tracemalloc.start()
+        try:
+            exact_bounds(bounds, q, f, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * (1 << e) * 7 * 7 * 8
+
     def test_two_state_two_steps(self, two_state):
         res = exact_bounds(two_state.bounds, two_state.q, two_state.f, 2)
         assert res.minimum == pytest.approx(0.18, abs=1e-12)
