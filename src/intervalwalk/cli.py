@@ -311,7 +311,8 @@ def main(argv=None) -> int:
 
     A budget refusal exits 1; bad input (ValueError, GenerationError), a
     request too large for memory (MemoryError) and a failed write (OSError:
-    every read error is already a ValueError) exit 2.
+    every read error is already a ValueError) exit 2, naming its file, or
+    stdout when it names none, as a pipe closed by its reader does.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
     except (ValueError, GenerationError, MemoryError) as exc:
         return _fail(str(exc), 2)
     except OSError as exc:
-        return _fail(f"cannot write {exc.filename or args.out}: {exc.strerror or exc}", 2)
+        return _fail(f"cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}", 2)
 
 
 if __name__ == "__main__":

@@ -47,24 +47,27 @@ class BudgetExceededError(RuntimeError):
 
 class _Schedules(_LazyTuple):
     """Optimal schedules as a sequence of selection schedules, each held as
-    its n rows of the one-step table ``graph._extremal_masks(e)`` in a (k, n)
-    integer array; `masks` is every schedule's (n, e) masks as one (k, n, e)
+    its row of the (2^e)^n schedule table ``graph._extremal_masks(e·n)``, in
+    an int64 array; `masks` is every schedule's (n, e) masks as one (k, n, e)
     array."""
 
-    def __init__(self, bounds: IntervalBounds, digits: np.ndarray):
+    def __init__(self, bounds: IntervalBounds, n: int, index: np.ndarray):
         self._bounds = bounds
-        self._digits = digits
+        self._shape = (n, len(bounds.free_edges))
+        self._index = index
 
     @property
     def masks(self) -> np.ndarray:
-        return _extremal_masks(len(self._bounds.free_edges), self._digits)
+        # the shape is explicit, as a zero-step (1, 0, e) stack cannot infer it
+        n, e = self._shape
+        return _extremal_masks(e * n, self._index).reshape(len(self._index), n, e)
 
     def __len__(self) -> int:
-        return len(self._digits)
+        return len(self._index)
 
     def _entry(self, i):
-        masks = _extremal_masks(len(self._bounds.free_edges), self._digits[i])
-        return _selections_from_masks(self._bounds, masks)
+        n, e = self._shape
+        return _selections_from_masks(self._bounds, _extremal_masks(e * n, self._index[i]).reshape(n, e))
 
 
 class ExactBounds(NamedTuple):
@@ -112,10 +115,10 @@ def exact_bounds(
     prefix order.  One pass keeps each leaf block that can hold an optimum of
     either sense, and both answers are read from those blocks.  Every value
     is bit for bit that of a fold one prefix at a time, as each sum runs in
-    the same order.  Optimal schedules are listed in lexicographic order,
-    step by step, of the selection order of ``graph._extremal_masks``, as
-    read-only sequences that build a schedule's selections when it is read,
-    so counting ties builds none.
+    the same order.  Optimal schedules are listed as ascending row indices
+    of the schedule table ``graph._extremal_masks(e·n)`` (first step most
+    significant), in read-only sequences that build a schedule's selections
+    when it is read, so counting ties builds none.
 
     Raises ValueError on an `n` that is not a nonnegative integer, a `budget`
     that is not an integer of at least 1, or a q or f that is not a finite
@@ -133,7 +136,7 @@ def exact_bounds(
     q, f = _checked_vectors(bounds, q=q, f=f)
     if n == 0:
         value = float(q @ f)
-        empty = _Schedules(bounds, np.zeros((1, 0), dtype=np.int32))
+        empty = _Schedules(bounds, 0, np.zeros(1, np.int64))
         return ExactBounds(value, value, empty, empty)
     e = len(bounds.free_edges)
     _check_cap(e)
@@ -187,18 +190,12 @@ def exact_bounds(
 
     index = np.concatenate([i for i, _ in kept])
     values = np.concatenate([v for _, v in kept])
-    # each kept prefix's n - 1 base-m digits, first step most significant; the
-    # enumeration has counted to every index, so it fits 64 bits, and a digit
-    # is below m <= 2^EXTREMAL_CAP, so it fits 32 bits
-    prefixes = (index[:, None] // m ** np.arange(n - 2, -1, -1) % m).astype(np.int32)
 
     def schedules(hit) -> _Schedules:
-        # row-major, so in ascending prefix and then leaf index
-        block, leaf = np.nonzero(hit)
-        digits = np.empty((len(block), n), dtype=np.int32)
-        digits[:, :-1] = prefixes[block]
-        digits[:, -1] = leaf
-        return _Schedules(bounds, digits)
+        # row-major, so in ascending prefix and then leaf index; the
+        # enumeration has counted to every schedule number, so it fits 64 bits
+        flat = np.flatnonzero(hit)
+        return _Schedules(bounds, n, index[flat // m] * m + flat % m)
 
     return ExactBounds(
         lo,

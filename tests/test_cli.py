@@ -599,6 +599,28 @@ def test_unwritable_out_exits_two(example_file, tmp_path, capsys, command):
     assert f"error: cannot write {out}: " in capsys.readouterr().err
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone, as in `intervalwalk bounds ... | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_closed_stdout_is_named_not_the_record(example_file, tmp_path, capsys, monkeypatch, record):
+    # the report is printed before the record is written, so the record is
+    # never touched, and the error names stdout, not --out and not None
+    out = tmp_path / "r.json"
+    argv = ["bounds", str(example_file), "--starts", "4"] + ["--out", str(out)] * record
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+    assert not out.exists()
+
+
 class TestOutCheckedFirst:
     """An unwritable --out fails before any multistart, enumeration or grid runs."""
 

@@ -41,7 +41,7 @@ def triangle_bounds():
 def per_prefix_bounds(bounds, q, f, n):
     """Exact bounds by a depth-first fold one prefix at a time over the
     (2^e, s, s) stack: the reference `exact_bounds` must match bit for bit.
-    Returns the minimum, the maximum and the argmin and argmax digits."""
+    Returns the minimum, the maximum and the argmin and argmax masks."""
     e = len(bounds.free_edges)
     stack = _transitions_from_masks(bounds, _extremal_masks(e))
     leaves = []  # each prefix's last-step values, in ascending prefix order
@@ -56,10 +56,10 @@ def per_prefix_bounds(bounds, q, f, n):
     values = np.concatenate(leaves)  # by schedule index, first step most significant
     lo, hi = float(values.min()), float(values.max())
 
-    def digits(hit):
-        return np.stack(np.unravel_index(np.flatnonzero(hit), (1 << e,) * n), axis=1)
+    def masks(hit):
+        return _extremal_masks(e * n, np.flatnonzero(hit)).reshape(-1, n, e)
 
-    return lo, hi, digits(values <= lo + ARGOPT_ATOL), digits(values >= hi - ARGOPT_ATOL)
+    return lo, hi, masks(values <= lo + ARGOPT_ATOL), masks(values >= hi - ARGOPT_ATOL)
 
 
 @st.composite
@@ -102,8 +102,8 @@ class TestBlockArithmetic:
                 res = exact_bounds(bounds, q, f, n)
                 lo, hi, argmin, argmax = per_prefix_bounds(bounds, q, f, n)
                 assert (res.minimum.hex(), res.maximum.hex()) == (lo.hex(), hi.hex())
-                assert np.array_equal(res.argmin._digits, argmin)
-                assert np.array_equal(res.argmax._digits, argmax)
+                assert np.array_equal(res.argmin.masks, argmin)
+                assert np.array_equal(res.argmax.masks, argmax)
 
 
 class TestEnumerateExtremal:
@@ -322,6 +322,25 @@ class TestExactBounds:
         assert calls == []
         assert [sel.upper_mask().tolist() for sel in res.argmax[-1]] == [[True] * 3] * 6
         assert len(calls) == 6
+
+    def test_tie_lists_hold_one_int64_per_schedule(self):
+        # a constant payoff ties all (2^3)^6 = 2^18 schedules a sense; each
+        # is kept as one int64 row index of the schedule table, and listing
+        # them peaks near 27 bytes a tie; six int32 step digits a schedule,
+        # with their assembly, would peak near 54
+        bounds, q, f = triangle_bounds(), [0.2, 0.3, 0.5], [0.7, 0.7, 0.7]
+        exact_bounds(bounds, q, f, 1)  # builds the bounds' cached index arrays
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = exact_bounds(bounds, q, f, 6)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ties = len(res.argmin) + len(res.argmax)
+        assert ties == 2**19
+        assert peak <= 40 * ties
+        assert retained <= 8.5 * ties
 
     def test_one_step_agreement_with_minimizer(self):
         # the closed-form one-step minimizer against brute enumeration
